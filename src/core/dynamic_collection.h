@@ -34,6 +34,7 @@
 #include "util/bits.h"
 #include "util/check.h"
 #include "util/retire.h"
+#include "util/seq_vector.h"
 
 namespace dyndex {
 
@@ -136,7 +137,7 @@ class DynamicCollectionT1 {
     // Load each sub pointer exactly once: a writer retiring the level nulls
     // the unique_ptr element in place, so re-dereferencing it mid-traversal
     // would fault even though the parked Semi itself stays alive.
-    for (const auto& sub : subs_) {
+    for (const auto& sub : subs_.view()) {
       const Semi* s = sub.get();
       if (s != nullptr && s->num_live_docs() > 0) {
         s->ForEachOccurrence(pattern, fn);
@@ -153,7 +154,7 @@ class DynamicCollectionT1 {
 
   uint64_t Count(const std::vector<Symbol>& pattern) const {
     uint64_t c = c0_.num_live_docs() > 0 ? c0_.Count(pattern) : 0;
-    for (const auto& sub : subs_) {
+    for (const auto& sub : subs_.view()) {
       const Semi* s = sub.get();  // one load; see ForEachOccurrence
       if (s != nullptr && s->num_live_docs() > 0) c += s->Count(pattern);
     }
@@ -168,10 +169,10 @@ class DynamicCollectionT1 {
     if (*found == kInC0) {
       c0_.Extract(id, from, len, &out);
     } else {
-      // A torn where_ value must not index past subs_ (optimistic readers;
-      // the checks throw TornReadError mid-attempt, abort otherwise).
+      // A torn where_ value must not index past subs_ (optimistic readers):
+      // the const subscript checks it against the block it reads, throwing
+      // TornReadError mid-attempt and aborting otherwise.
       const uint32_t j = static_cast<uint32_t>(*found);
-      DYNDEX_CHECK(j < subs_.size());
       const Semi* s = subs_[j].get();  // one load; see ForEachOccurrence
       DYNDEX_CHECK(s != nullptr);
       s->Extract(id, from, len, &out);
@@ -186,8 +187,7 @@ class DynamicCollectionT1 {
     DYNDEX_CHECK(found != nullptr);
     if (*found == kInC0) return c0_.DocLen(id);
     const uint32_t j = static_cast<uint32_t>(*found);
-    DYNDEX_CHECK(j < subs_.size());
-    const Semi* s = subs_[j].get();  // one load; see ForEachOccurrence
+    const Semi* s = subs_[j].get();  // checked subscript, as in Extract
     DYNDEX_CHECK(s != nullptr);
     return s->DocLenOf(id);
   }
@@ -196,7 +196,7 @@ class DynamicCollectionT1 {
 
   uint64_t live_symbols() const {
     uint64_t t = c0_.live_symbols();
-    for (const auto& sub : subs_) {
+    for (const auto& sub : subs_.view()) {
       const Semi* s = sub.get();  // one load; see ForEachOccurrence
       if (s != nullptr) t += s->live_symbols();
     }
@@ -208,14 +208,14 @@ class DynamicCollectionT1 {
 
   uint32_t num_levels() const {
     uint32_t n = 0;
-    for (const auto& s : subs_) n += s.get() != nullptr;
+    for (const auto& s : subs_.view()) n += s.get() != nullptr;
     return n;
   }
 
   /// Live symbols per level (empty levels reported as 0) — Figure 1 data.
   std::vector<uint64_t> LevelSizes() const {
     std::vector<uint64_t> v;
-    for (const auto& sub : subs_) {
+    for (const auto& sub : subs_.view()) {
       const Semi* s = sub.get();  // one load; see ForEachOccurrence
       v.push_back(s == nullptr ? 0 : s->live_symbols());
     }
@@ -228,7 +228,7 @@ class DynamicCollectionT1 {
   SpaceBreakdown Space() const {
     SpaceBreakdown sp;
     sp.uncompressed = c0_.SpaceBytes();
-    for (const auto& sub : subs_) {
+    for (const auto& sub : subs_.view()) {
       const Semi* s = sub.get();  // one load; see ForEachOccurrence
       if (s == nullptr) continue;
       sp.static_indexes += s->IndexSpaceBytes();
@@ -245,7 +245,7 @@ class DynamicCollectionT1 {
   /// mint — without mutating the structure (snapshot-export path).
   void ExportSnapshot(std::vector<Document>* docs, DocId* next_id) const {
     c0_.PeekLiveDocs(docs);
-    for (const auto& sub : subs_) {
+    for (const auto& sub : subs_.view()) {
       const Semi* s = sub.get();
       if (s != nullptr) s->ExportLiveDocs(docs);
     }
@@ -264,8 +264,9 @@ class DynamicCollectionT1 {
   /// registry consistency.
   void CheckInvariants() const {
     uint64_t docs = c0_.num_live_docs();
-    for (uint32_t j = 0; j < subs_.size(); ++j) {
-      const Semi* s = subs_[j].get();  // one load; see ForEachOccurrence
+    const auto subs = subs_.view();
+    for (uint32_t j = 0; j < subs.size(); ++j) {
+      const Semi* s = subs[j].get();  // one load; see ForEachOccurrence
       if (s == nullptr) continue;
       docs += s->num_live_docs();
       // A sub-collection never exceeds its capacity (single oversized docs
@@ -285,9 +286,9 @@ class DynamicCollectionT1 {
   DynamicCollectionOptions opt_;
   typename Semi::Options semi_opt_;
   SuffixTreeCollection c0_;
-  // retire_* containers: growth/rehash under an exclusive section parks the
-  // abandoned buffers for in-flight optimistic readers (util/retire.h).
-  retire_vector<std::unique_ptr<Semi>> subs_;  // subs_[j] holds C_{j+1}
+  // Optimistic readers walk subs_ while the writer grows it; each reader
+  // view comes from one load (util/seq_vector.h).
+  SeqVector<std::unique_ptr<Semi>> subs_;  // subs_[j] holds C_{j+1}
   SeqHashMap<DocId, int32_t> where_;
   DocId next_id_ = 0;
   uint64_t nf_ = 0;
@@ -315,8 +316,9 @@ class DynamicCollectionT1 {
   }
 
   int32_t FindLevelOf(DocId id) const {
-    for (uint32_t j = 0; j < subs_.size(); ++j) {
-      const Semi* s = subs_[j].get();
+    const auto subs = subs_.view();
+    for (uint32_t j = 0; j < subs.size(); ++j) {
+      const Semi* s = subs[j].get();
       if (s != nullptr && s->ContainsLive(id)) {
         return static_cast<int32_t>(j);
       }

@@ -54,6 +54,7 @@
 #include "util/check.h"
 #include "util/retire.h"
 #include "util/seq_hash_map.h"
+#include "util/seq_vector.h"
 
 namespace dyndex {
 
@@ -123,6 +124,26 @@ class DynamicCollectionT2 {
     // Nothing fits: lock C_r and start a top-collection build.
     PlaceViaTop(Document{id, std::move(symbols)});
     return id;
+  }
+
+  /// Cold bulk path: mints the batch's ids in order, then builds everything
+  /// at once the way a global rebuild does (one static build, Section 3's
+  /// from-scratch N_{j+1}) instead of one Insert cascade per document.
+  /// CollectEverything first retires whatever an emptied structure still
+  /// holds, so no dead level or top survives the load. Correct on a warm
+  /// collection too, but then it rebuilds every live document.
+  std::vector<DocId> InsertBulk(std::vector<std::vector<Symbol>> batch) {
+    std::vector<Document> docs;
+    CollectEverything(&docs);
+    std::vector<DocId> ids;
+    ids.reserve(batch.size());
+    for (std::vector<Symbol>& symbols : batch) {
+      DYNDEX_CHECK(!symbols.empty());
+      ids.push_back(next_id_);
+      docs.push_back(Document{next_id_++, std::move(symbols)});
+    }
+    RebaseInto(std::move(docs));
+    return ids;
   }
 
   bool Erase(DocId id) {
@@ -199,14 +220,14 @@ class DynamicCollectionT2 {
         s->ForEachOccurrence(pattern, fn);
       }
     };
-    for (const Level& lv : levels_) {
+    for (const Level& lv : levels_.view()) {
       visit(lv.c);
       visit(lv.locked);
       visit(lv.temp);
     }
     visit(top_locked_);
     visit(top_temp_);
-    for (const auto& t : tops_) visit(t);
+    for (const auto& t : tops_.view()) visit(t);
   }
 
   std::vector<Occurrence> Find(const std::vector<Symbol>& pattern) const {
@@ -223,14 +244,14 @@ class DynamicCollectionT2 {
       const Semi* s = sp.get();  // one load; see ForEachOccurrence
       if (s != nullptr && s->num_live_docs() > 0) c += s->Count(pattern);
     };
-    for (const Level& lv : levels_) {
+    for (const Level& lv : levels_.view()) {
       visit(lv.c);
       visit(lv.locked);
       visit(lv.temp);
     }
     visit(top_locked_);
     visit(top_temp_);
-    for (const auto& t : tops_) visit(t);
+    for (const auto& t : tops_.view()) visit(t);
     return c;
   }
 
@@ -271,26 +292,26 @@ class DynamicCollectionT2 {
       const Semi* s = sp.get();  // one load; see ForEachOccurrence
       if (s != nullptr) t += s->live_symbols();
     };
-    for (const Level& lv : levels_) {
+    for (const Level& lv : levels_.view()) {
       add(lv.c);
       add(lv.locked);
       add(lv.temp);
     }
     add(top_locked_);
     add(top_temp_);
-    for (const auto& s : tops_) add(s);
+    for (const auto& s : tops_.view()) add(s);
     return t;
   }
 
   uint64_t num_docs() const { return where_.size(); }
   uint32_t num_tops() const {
     uint32_t n = 0;
-    for (const auto& t : tops_) n += t.get() != nullptr;
+    for (const auto& t : tops_.view()) n += t.get() != nullptr;
     return n;
   }
   uint32_t num_pending() const {
     uint32_t n = top_pending_.active + top_purge_.active;
-    for (const Level& lv : levels_) n += lv.pending.active;
+    for (const Level& lv : levels_.view()) n += lv.pending.active;
     return n;
   }
   uint32_t tau() const { return Tau(); }
@@ -319,14 +340,14 @@ class DynamicCollectionT2 {
       sp.reporters += s->ReporterSpaceBytes();
       sp.bookkeeping += s->BookkeepingSpaceBytes();
     };
-    for (const Level& lv : levels_) {
+    for (const Level& lv : levels_.view()) {
       add(lv.c);
       add(lv.locked);
       add(lv.temp);
     }
     add(top_locked_);
     add(top_temp_);
-    for (const auto& t : tops_) add(t);
+    for (const auto& t : tops_.view()) add(t);
     sp.bookkeeping += where_.size() * 28;
     return sp;
   }
@@ -337,17 +358,21 @@ class DynamicCollectionT2 {
       const Semi* s = sp.get();  // one load; see ForEachOccurrence
       if (s != nullptr) docs += s->num_live_docs();
     };
-    for (const Level& lv : levels_) {
+    for (const Level& lv : levels_.view()) {
       add(lv.c);
       add(lv.locked);
       add(lv.temp);
     }
     add(top_locked_);
     add(top_temp_);
-    for (const auto& t : tops_) add(t);
+    for (const auto& t : tops_.view()) add(t);
     DYNDEX_CHECK(docs == where_.size());
-    // At most one top purge at a time (Dietz-Sleator schedule).
-    DYNDEX_CHECK(!(top_purge_.active && top_pending_.active && false));
+    // An in-flight purge (one at a time, Dietz-Sleator schedule) rebuilds a
+    // live top: its slot stays occupied until FinishTopPurge swaps it.
+    if (top_purge_.active) {
+      DYNDEX_CHECK(top_purge_slot_ < tops_.size());
+      DYNDEX_CHECK(tops_[top_purge_slot_] != nullptr);
+    }
   }
 
   // --- persistence ---------------------------------------------------------
@@ -419,15 +444,15 @@ class DynamicCollectionT2 {
   typename Semi::Options semi_opt_;
   SuffixTreeCollection c0_;         // C_0
   SuffixTreeCollection c0_locked_;  // L_0
-  // retire_* containers: growth/rehash under an exclusive section parks the
-  // abandoned buffers for in-flight optimistic readers (util/retire.h).
-  retire_vector<Level> levels_;
+  // Seq* containers: optimistic readers walk them while the writer grows
+  // them; each reader view comes from one load (util/seq_vector.h).
+  SeqVector<Level> levels_;
   std::unique_ptr<Semi> top_locked_;  // L_r (bound for a new top)
   std::unique_ptr<Semi> top_temp_;    // Temp_{r+1}
   Pending top_pending_;               // building N_{r+1} -> new top
   Pending top_purge_;                 // background purge of tops_[slot]
   uint32_t top_purge_slot_ = 0;
-  retire_vector<std::unique_ptr<Semi>> tops_;
+  SeqVector<std::unique_ptr<Semi>> tops_;
   SeqHashMap<DocId, Holder> where_;
   DocId next_id_ = 0;
   uint64_t nf_ = 0;
@@ -476,18 +501,16 @@ class DynamicCollectionT2 {
     // Queries reach here through where_, possibly with a torn Holder
     // (optimistic readers): bound every index and reject null slots — the
     // checks throw TornReadError mid-attempt, abort on real corruption.
+    // The const subscripts check the index against the block they read.
     Semi* s = nullptr;
     switch (h.kind) {
       case Kind::kLevelC:
-        DYNDEX_CHECK(h.idx < levels_.size());
         s = levels_[h.idx].c.get();
         break;
       case Kind::kLevelLocked:
-        DYNDEX_CHECK(h.idx < levels_.size());
         s = levels_[h.idx].locked.get();
         break;
       case Kind::kLevelTemp:
-        DYNDEX_CHECK(h.idx < levels_.size());
         s = levels_[h.idx].temp.get();
         break;
       case Kind::kTopLocked:
@@ -497,7 +520,6 @@ class DynamicCollectionT2 {
         s = top_temp_.get();
         break;
       case Kind::kTop:
-        DYNDEX_CHECK(h.idx < tops_.size());
         s = tops_[h.idx].get();
         break;
       default:

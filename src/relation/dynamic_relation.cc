@@ -126,7 +126,7 @@ bool DynamicRelation::Related(uint32_t object, uint32_t label) const {
   if (C0Related(os, ls)) return true;
   // One load per sub: a concurrent writer nulls retired slots in place, so
   // the pointer must not be re-read mid-traversal (see ForEachLabelOfObject).
-  for (const auto& sub_ptr : subs_) {
+  for (const auto& sub_ptr : subs_.view()) {
     const Sub* sub = sub_ptr.get();
     if (sub == nullptr) continue;
     uint32_t lo, la;
@@ -241,7 +241,7 @@ uint64_t DynamicRelation::CountLabelsOf(uint32_t object) const {
   if (const C0List* box = c0_by_object_.Find(os)) {
     if (const std::vector<uint32_t>* adj = box->Load()) count += adj->size();
   }
-  for (const auto& sub_ptr : subs_) {
+  for (const auto& sub_ptr : subs_.view()) {
     const Sub* sub = sub_ptr.get();
     if (sub == nullptr) continue;
     uint32_t lo;
@@ -258,7 +258,7 @@ uint64_t DynamicRelation::CountObjectsOf(uint32_t label) const {
   if (const C0List* box = c0_by_label_.Find(ls)) {
     if (const std::vector<uint32_t>* adj = box->Load()) count += adj->size();
   }
-  for (const auto& sub_ptr : subs_) {
+  for (const auto& sub_ptr : subs_.view()) {
     const Sub* sub = sub_ptr.get();
     if (sub == nullptr) continue;
     uint32_t la;
@@ -269,7 +269,7 @@ uint64_t DynamicRelation::CountObjectsOf(uint32_t label) const {
 
 uint32_t DynamicRelation::num_subcollections() const {
   uint32_t n = 0;
-  for (const auto& s : subs_) n += s.get() != nullptr;
+  for (const auto& s : subs_.view()) n += s.get() != nullptr;
   return n;
 }
 
@@ -372,7 +372,7 @@ void DynamicRelation::GlobalRebase() {
 
 uint64_t DynamicRelation::SpaceBytes() const {
   uint64_t total = 0;
-  for (const auto& sub_ptr : subs_) {
+  for (const auto& sub_ptr : subs_.view()) {
     const Sub* s = sub_ptr.get();
     if (s == nullptr) continue;
     total += s->rel.SpaceBytes() + s->objects.SpaceBytes() +
@@ -411,13 +411,13 @@ void DynamicRelation::ExportLivePairs(
 
 void DynamicRelation::CheckInvariants() const {
   uint64_t pairs = c0_pairs_;
-  for (const auto& sub_ptr : subs_) {
+  for (const auto& sub_ptr : subs_.view()) {
     const Sub* s = sub_ptr.get();
     if (s != nullptr) pairs += s->rel.live_pairs();
   }
   DYNDEX_CHECK(pairs == num_pairs_);
   DYNDEX_CHECK(c0_pairs_set_.size() == c0_pairs_);
-  for (const auto& sub_ptr : subs_) {
+  for (const auto& sub_ptr : subs_.view()) {
     const Sub* s = sub_ptr.get();
     if (s != nullptr) DYNDEX_CHECK(!s->rel.NeedsPurge(Tau()));
   }

@@ -29,6 +29,7 @@
 #include "util/check.h"
 #include "util/retire.h"
 #include "util/seq_hash_map.h"
+#include "util/seq_vector.h"
 
 namespace dyndex {
 
@@ -74,8 +75,8 @@ class DynamicRelation {
     if (const C0List* box = c0_by_object_.Find(os)) {
       if (const std::vector<uint32_t>* adj = box->Load()) {
         for (uint32_t ls : *adj) {
-          // Torn-read clamp: a stale snapshot must not index OOB.
-          DYNDEX_CHECK(ls < slot_label_.size());
+          // Torn-read clamp: the const subscript bounds-checks a stale
+          // snapshot's slot against the block it reads.
           fn(slot_label_[ls]);
         }
       }
@@ -83,15 +84,13 @@ class DynamicRelation {
     // Load each sub pointer exactly once: a writer retiring the level nulls
     // the unique_ptr element in place, so re-dereferencing it mid-traversal
     // would fault even though the parked Sub itself stays alive.
-    for (const auto& sub_ptr : subs_) {
+    for (const auto& sub_ptr : subs_.view()) {
       const Sub* sub = sub_ptr.get();
       if (sub == nullptr) continue;
       uint32_t local_o;
       if (!sub->LocalObject(os, &local_o)) continue;
       sub->rel.ForEachLabelOfObject(local_o, [&](uint32_t ll) {
-        uint32_t gl = sub->GlobalLabel(ll);
-        DYNDEX_CHECK(gl < slot_label_.size());
-        fn(slot_label_[gl]);
+        fn(slot_label_[sub->GlobalLabel(ll)]);  // checked subscript
       });
     }
   }
@@ -104,21 +103,16 @@ class DynamicRelation {
     uint32_t ls = *slot;
     if (const C0List* box = c0_by_label_.Find(ls)) {
       if (const std::vector<uint32_t>* adj = box->Load()) {
-        for (uint32_t os : *adj) {
-          DYNDEX_CHECK(os < slot_obj_.size());
-          fn(slot_obj_[os]);
-        }
+        for (uint32_t os : *adj) fn(slot_obj_[os]);  // checked subscript
       }
     }
-    for (const auto& sub_ptr : subs_) {
+    for (const auto& sub_ptr : subs_.view()) {
       const Sub* sub = sub_ptr.get();  // one load; see ForEachLabelOfObject
       if (sub == nullptr) continue;
       uint32_t local_a;
       if (!sub->LocalLabel(ls, &local_a)) continue;
       sub->rel.ForEachObjectOfLabel(local_a, [&](uint32_t lo) {
-        uint32_t go = sub->GlobalObject(lo);
-        DYNDEX_CHECK(go < slot_obj_.size());
-        fn(slot_obj_[go]);
+        fn(slot_obj_[sub->GlobalObject(lo)]);  // checked subscript
       });
     }
   }
@@ -169,14 +163,14 @@ class DynamicRelation {
   };
 
   DynamicRelationOptions opt_;
-  // Reader-reachable containers use SeqHashMap / the retire_* aliases
-  // (util/seq_hash_map.h, util/retire.h): under the serve layer's optimistic
-  // seqlock a writer's realloc, rehash, or erase parks abandoned buffers for
-  // in-flight readers, and hash probes derive their bounds from a single
-  // pointer load. Write-only bookkeeping (free lists, pair counts) stays
-  // plain. SN/NS tables: external id <-> dense slot.
+  // Reader-reachable containers use SeqHashMap / SeqVector
+  // (util/seq_hash_map.h, util/seq_vector.h): under the serve layer's
+  // optimistic seqlock a writer's realloc, rehash, or erase parks abandoned
+  // buffers for in-flight readers, and every reader derives bounds and data
+  // from a single pointer load. Write-only bookkeeping (free lists, pair
+  // counts) stays plain. SN/NS tables: external id <-> dense slot.
   SeqHashMap<uint32_t, uint32_t> obj_slot_, label_slot_;
-  retire_vector<uint32_t> slot_obj_, slot_label_;
+  SeqVector<uint32_t> slot_obj_, slot_label_;
   std::vector<uint32_t> free_obj_slots_, free_label_slots_;
   std::vector<uint32_t> obj_pair_count_, label_pair_count_;
 
@@ -189,7 +183,7 @@ class DynamicRelation {
   SeqHashSet<uint64_t> c0_pairs_set_;
   uint64_t c0_pairs_ = 0;
 
-  retire_vector<std::unique_ptr<Sub>> subs_;
+  SeqVector<std::unique_ptr<Sub>> subs_;
   uint64_t num_pairs_ = 0;
   uint64_t nf_ = 0;
 

@@ -69,15 +69,22 @@ class DynamicIndex {
   virtual DocId Insert(std::vector<Symbol> symbols) = 0;
   virtual bool Erase(DocId id) = 0;
 
-  /// Inserts a batch of documents. Backends with a bulk constructor (the
-  /// baseline dynamic FM-index on a cold start) build once via SA-IS instead
-  /// of per-symbol dynamic-rank insertion; the default loops over Insert.
+  /// Inserts a batch of documents. Backends with a cold bulk path (the
+  /// baseline dynamic FM-index, Transformation 2) build once via SA-IS
+  /// instead of per-document insertion; the default loops over Insert.
   virtual std::vector<DocId> InsertBulk(std::vector<std::vector<Symbol>> docs) {
     std::vector<DocId> ids;
     ids.reserve(docs.size());
     for (auto& doc : docs) ids.push_back(Insert(std::move(doc)));
     return ids;
   }
+
+  /// Whether Insert would store `doc` rather than reject it with
+  /// kInvalidDocId. Every backend mints ids the same way — each accepted
+  /// document takes the next id, a rejected one takes none — so this rule
+  /// and the id counter determine every id a batch receives (recovery
+  /// relies on it to fold a logged tail without applying it).
+  virtual bool Accepts(const std::vector<Symbol>& doc) const = 0;
 
   // Queries (const end to end).
   virtual uint64_t Count(const std::vector<Symbol>& pattern) const = 0;
@@ -127,6 +134,9 @@ class CollectionIndex final : public DynamicIndex {
     return coll_.Insert(std::move(symbols));
   }
   bool Erase(DocId id) override { return coll_.Erase(id); }
+  bool Accepts(const std::vector<Symbol>& doc) const override {
+    return Storable(doc);
+  }
 
   std::vector<DocId> InsertBulk(
       std::vector<std::vector<Symbol>> docs) override {
@@ -139,7 +149,7 @@ class CollectionIndex final : public DynamicIndex {
       for (const auto& doc : docs) all_storable &= Storable(doc);
       if (all_storable && coll_.num_docs() == 0 &&
           coll_.live_symbols() == 0) {
-        return coll_.InsertBulk(docs);
+        return coll_.InsertBulk(std::move(docs));
       }
     }
     return DynamicIndex::InsertBulk(std::move(docs));

@@ -275,6 +275,17 @@ class EpochGuard {
     return std::forward<Fn>(fn)(*backend_);
   }
 
+  /// Recovery's exclusive section: runs fn(Backend&), which installs a state
+  /// equal to `batches` applied Write() batches at once (a folded log tail),
+  /// then advances the epoch by exactly that many — as if each had run.
+  template <typename Fn>
+  void Restore(uint64_t batches, Fn&& fn) DYNDEX_EXCLUDES(mu_) {
+    ExclusiveSection section(*this);
+    std::forward<Fn>(fn)(*backend_);
+    epoch_.store(epoch_.load(std::memory_order_relaxed) + batches,
+                 std::memory_order_release);
+  }
+
   /// Number of applied Write() batches so far (plain atomic load — the
   /// cheap snapshot-token poll).
   uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }

@@ -1,5 +1,7 @@
 #include "serve/persistence.h"
 
+#include <algorithm>
+#include <cstddef>
 #include <string>
 #include <utility>
 #include <vector>
@@ -318,7 +320,7 @@ persist::Status DurableLog::Checkpoint(
   DYNDEX_RETURN_IF_ERROR(
       persist::WriteSnapshotFile(env_, snapshot_path(), sections));
   // The snapshot is durably renamed in; frames at or below seq_ are now
-  // redundant (replay skips them), so resetting the log is safe at any
+  // redundant (recovery skips them), so resetting the log is safe at any
   // crash point. A failure here breaks the append handle — stick.
   Status s = persist::WalWriter::Create(env_, wal_path(), &wal_);
   if (!s.ok()) {
@@ -335,17 +337,19 @@ persist::Status DurableLog::Close() {
   return s.ok() ? status_ : s;
 }
 
-// --- core-level open / replay / checkpoint --------------------------------
+// --- core-level open / fold / checkpoint ----------------------------------
 
 namespace {
 
-/// Shared open skeleton: attach, load the verified snapshot via `load`,
-/// replay the frame tail via `apply`, truncate + reopen for append.
-template <typename LoadFn, typename ApplyFn>
+/// Shared open skeleton: attach, decode the verified snapshot into `fold`,
+/// fold the frame tail into it, truncate + reopen the log for append, and
+/// only then install the folded state into the core in one build. Every
+/// check runs before anything is installed, so a loud error serves nothing.
+template <typename Fold>
 Status OpenCore(persist::Env* env, const std::string& dir,
                 const DurableOptions& opt, StateKind kind,
                 const char* backend, std::unique_ptr<DurableLog>* out,
-                RecoveryStats* stats, LoadFn load, ApplyFn apply) {
+                RecoveryStats* stats, Fold& fold) {
   std::unique_ptr<DurableLog> log;
   std::vector<persist::SnapshotSection> snapshot;
   persist::WalScanResult wal;
@@ -370,16 +374,19 @@ Status OpenCore(persist::Env* env, const std::string& dir,
                                      meta.backend + "', facade runs '" +
                                      backend + "'");
     }
-    DYNDEX_RETURN_IF_ERROR(load(snapshot, meta));
+    DYNDEX_RETURN_IF_ERROR(fold.LoadSnapshot(snapshot, meta));
+    std::vector<persist::SnapshotSection>().swap(snapshot);  // decoded
     last_seq = meta.last_seq;
     st.snapshot_loaded = true;
     st.snapshot_seq = last_seq;
   }
 
+  // A frame's payload is needed again only to rewrite a torn log.
+  const bool keep_payloads = wal.dropped_bytes > 0;
   for (persist::WalFrame& frame : wal.frames) {
     if (frame.seq <= last_seq) {
       // Only a checkpointed prefix may sit at or below the snapshot seq; a
-      // low seq after replay began means the frame chain is inconsistent.
+      // low seq after folding began means the frame chain is inconsistent.
       if (st.replayed_batches > 0) {
         return Status::Corruption("WAL sequence went backwards");
       }
@@ -392,7 +399,8 @@ Status OpenCore(persist::Env* env, const std::string& dir,
     }
     WalRecord rec;
     DYNDEX_RETURN_IF_ERROR(DecodeWalRecord(frame.payload, &rec));
-    DYNDEX_RETURN_IF_ERROR(apply(rec));
+    if (!keep_payloads) std::string().swap(frame.payload);
+    DYNDEX_RETURN_IF_ERROR(fold.Apply(rec));
     last_seq = frame.seq;
     ++st.replayed_batches;
   }
@@ -402,10 +410,172 @@ Status OpenCore(persist::Env* env, const std::string& dir,
   // contract above), so this thread holds the log's single-writer role.
   log->writer_role().AssertHeld();
   DYNDEX_RETURN_IF_ERROR(log->FinishOpen(last_seq, wal));
+  if (st.snapshot_loaded || st.replayed_batches > 0) {
+    fold.Install(st.replayed_batches);
+  }
   *out = std::move(log);
   if (stats != nullptr) *stats = st;
   return Status::Ok();
 }
+
+/// The document state a snapshot plus a log tail describe, folded without
+/// building anything: the live documents in id order and the id counter.
+/// Minting follows the rule every backend shares (DynamicIndex::Accepts):
+/// an accepted document takes the next id, a rejected one takes none.
+class DocsFold {
+ public:
+  explicit DocsFold(EpochGuard<DynamicIndex>& core) : core_(core) {}
+
+  Status LoadSnapshot(const std::vector<persist::SnapshotSection>& snapshot,
+                      const SnapshotMeta& meta) {
+    const persist::SnapshotSection* docs_sec =
+        persist::FindSection(snapshot, kDocsSection);
+    if (docs_sec == nullptr) {
+      return Status::Corruption("index snapshot has no docs section");
+    }
+    DYNDEX_RETURN_IF_ERROR(DecodeDocs(docs_sec->data, &docs_));
+    std::sort(docs_.begin(), docs_.end(),
+              [](const Document& a, const Document& b) { return a.id < b.id; });
+    for (std::size_t i = 0; i < docs_.size(); ++i) {
+      // Minted ids stay below the counter and never repeat; the tail's ids
+      // then extend the sorted order (Erase binary-searches it).
+      if (docs_[i].id >= meta.next_id ||
+          (i > 0 && docs_[i].id == docs_[i - 1].id)) {
+        return Status::Corruption("snapshot docs section has a bad id");
+      }
+    }
+    erased_.assign(docs_.size(), false);
+    next_id_ = meta.next_id;
+    return Status::Ok();
+  }
+
+  Status Apply(WalRecord& rec) {
+    switch (rec.op) {
+      case WalOp::kInsertDocs: {
+        const DynamicIndex& idx = core_.unsynchronized();
+        for (std::vector<Symbol>& doc : rec.docs) {
+          if (!idx.Accepts(doc)) continue;
+          docs_.push_back(Document{next_id_++, std::move(doc)});
+          erased_.push_back(false);
+        }
+        return Status::Ok();
+      }
+      case WalOp::kEraseDocs:
+        for (DocId id : rec.ids) Erase(id);
+        return Status::Ok();
+      default:
+        return Status::Corruption("relation record in an index WAL");
+    }
+  }
+
+  void Install(uint64_t batches) {
+    std::size_t live = 0;
+    for (std::size_t i = 0; i < docs_.size(); ++i) {
+      if (erased_[i]) continue;
+      if (live != i) docs_[live] = std::move(docs_[i]);
+      ++live;
+    }
+    docs_.resize(live);
+    core_.Restore(batches, [&](DynamicIndex& b) {
+      b.LoadSnapshot(std::move(docs_), next_id_);
+    });
+  }
+
+ private:
+  /// An unknown (or already erased) id is a no-op, as in the backends.
+  void Erase(DocId id) {
+    auto it = std::lower_bound(
+        docs_.begin(), docs_.end(), id,
+        [](const Document& d, DocId key) { return d.id < key; });
+    if (it == docs_.end() || it->id != id) return;
+    const std::size_t i = static_cast<std::size_t>(it - docs_.begin());
+    if (erased_[i]) return;
+    erased_[i] = true;
+    std::vector<Symbol>().swap(it->symbols);
+  }
+
+  EpochGuard<DynamicIndex>& core_;
+  std::vector<Document> docs_;  // ascending ids
+  std::vector<bool> erased_;    // parallel to docs_
+  DocId next_id_ = 0;
+};
+
+/// The pair set a snapshot plus a log tail describe, kept in flat sorted
+/// arrays: the snapshot's pairs, and every logged add / remove stamped with
+/// its log position, so that after one sort the last operation on each pair
+/// decides it.
+class PairsFold {
+ public:
+  explicit PairsFold(EpochGuard<RelationIndex>& core) : core_(core) {}
+
+  Status LoadSnapshot(const std::vector<persist::SnapshotSection>& snapshot,
+                      const SnapshotMeta&) {
+    const persist::SnapshotSection* pairs_sec =
+        persist::FindSection(snapshot, kPairsSection);
+    if (pairs_sec == nullptr) {
+      return Status::Corruption("relation snapshot has no pairs section");
+    }
+    DYNDEX_RETURN_IF_ERROR(DecodePairs(pairs_sec->data, &base_));
+    // Exports are sorted and duplicate-free; the merge below relies on it.
+    if (!std::is_sorted(base_.begin(), base_.end())) {
+      std::sort(base_.begin(), base_.end());
+    }
+    base_.erase(std::unique(base_.begin(), base_.end()), base_.end());
+    return Status::Ok();
+  }
+
+  Status Apply(WalRecord& rec) {
+    if (rec.op != WalOp::kAddPairs && rec.op != WalOp::kRemovePairs) {
+      return Status::Corruption("index record in a relation WAL");
+    }
+    const uint64_t add = rec.op == WalOp::kAddPairs ? 1 : 0;
+    for (auto [o, a] : rec.pairs) {
+      ops_.push_back({Key(o, a), (stamp_++ << 1) | add});
+    }
+    return Status::Ok();
+  }
+
+  void Install(uint64_t batches) {
+    std::sort(ops_.begin(), ops_.end());
+    RelationPairs live;
+    live.reserve(base_.size());
+    std::size_t b = 0;
+    for (std::size_t i = 0; i < ops_.size();) {
+      const uint64_t key = ops_[i].first;
+      std::size_t last = i;
+      while (last + 1 < ops_.size() && ops_[last + 1].first == key) ++last;
+      while (b < base_.size() && Key(base_[b]) < key) {
+        live.push_back(base_[b++]);
+      }
+      if (b < base_.size() && Key(base_[b]) == key) ++b;  // the log decides
+      // Unrepresentable adds stay in; AddPairsBulk screens them as a logged
+      // add would have been.
+      if (ops_[last].second & 1) {
+        live.push_back({static_cast<uint32_t>(key >> 32),
+                        static_cast<uint32_t>(key)});
+      }
+      i = last + 1;
+    }
+    live.insert(live.end(), base_.begin() + static_cast<std::ptrdiff_t>(b),
+                base_.end());
+    RelationPairs().swap(base_);
+    std::vector<std::pair<uint64_t, uint64_t>>().swap(ops_);
+    core_.Restore(batches, [&](RelationIndex& r) { r.AddPairsBulk(live); });
+  }
+
+ private:
+  static uint64_t Key(uint32_t o, uint32_t a) {
+    return (static_cast<uint64_t>(o) << 32) | a;
+  }
+  static uint64_t Key(const std::pair<uint32_t, uint32_t>& p) {
+    return Key(p.first, p.second);
+  }
+
+  EpochGuard<RelationIndex>& core_;
+  RelationPairs base_;                               // sorted, unique
+  std::vector<std::pair<uint64_t, uint64_t>> ops_;  // (pair key, stamp|add)
+  uint64_t stamp_ = 0;
+};
 
 }  // namespace
 
@@ -416,38 +586,9 @@ persist::Status OpenDurableIndexCore(persist::Env* env, const std::string& dir,
                                      RecoveryStats* stats) {
   DynamicIndex& idx = core.unsynchronized();
   DYNDEX_CHECK(idx.num_docs() == 0 && core.epoch() == 0);
-  const char* backend = idx.backend_name();
-  return OpenCore(
-      env, dir, opt, StateKind::kIndex, backend, out, stats,
-      [&](const std::vector<persist::SnapshotSection>& snapshot,
-          const SnapshotMeta& meta) -> Status {
-        const persist::SnapshotSection* docs_sec =
-            persist::FindSection(snapshot, kDocsSection);
-        if (docs_sec == nullptr) {
-          return Status::Corruption("index snapshot has no docs section");
-        }
-        std::vector<Document> docs;
-        DYNDEX_RETURN_IF_ERROR(DecodeDocs(docs_sec->data, &docs));
-        core.Maintain([&](DynamicIndex& b) {
-          b.LoadSnapshot(std::move(docs), meta.next_id);
-        });
-        return Status::Ok();
-      },
-      [&](WalRecord& rec) -> Status {
-        switch (rec.op) {
-          case WalOp::kInsertDocs:
-            core.Write(
-                [&](DynamicIndex& b) { b.InsertBulk(std::move(rec.docs)); });
-            return Status::Ok();
-          case WalOp::kEraseDocs:
-            core.Write([&](DynamicIndex& b) {
-              for (DocId id : rec.ids) b.Erase(id);
-            });
-            return Status::Ok();
-          default:
-            return Status::Corruption("relation record in an index WAL");
-        }
-      });
+  DocsFold fold(core);
+  return OpenCore(env, dir, opt, StateKind::kIndex, idx.backend_name(), out,
+                  stats, fold);
 }
 
 persist::Status CheckpointIndexCore(EpochGuard<DynamicIndex>& core,
@@ -481,35 +622,9 @@ persist::Status OpenDurableRelationCore(persist::Env* env,
                                         RecoveryStats* stats) {
   RelationIndex& rel = core.unsynchronized();
   DYNDEX_CHECK(rel.num_pairs() == 0 && core.epoch() == 0);
-  const char* backend = rel.backend_name();
-  return OpenCore(
-      env, dir, opt, StateKind::kRelation, backend, out, stats,
-      [&](const std::vector<persist::SnapshotSection>& snapshot,
-          const SnapshotMeta&) -> Status {
-        const persist::SnapshotSection* pairs_sec =
-            persist::FindSection(snapshot, kPairsSection);
-        if (pairs_sec == nullptr) {
-          return Status::Corruption("relation snapshot has no pairs section");
-        }
-        RelationPairs pairs;
-        DYNDEX_RETURN_IF_ERROR(DecodePairs(pairs_sec->data, &pairs));
-        core.Maintain([&](RelationIndex& b) { b.AddPairsBulk(pairs); });
-        return Status::Ok();
-      },
-      [&](WalRecord& rec) -> Status {
-        switch (rec.op) {
-          case WalOp::kAddPairs:
-            core.Write([&](RelationIndex& b) { b.AddPairsBulk(rec.pairs); });
-            return Status::Ok();
-          case WalOp::kRemovePairs:
-            core.Write([&](RelationIndex& b) {
-              for (auto [o, a] : rec.pairs) b.RemovePair(o, a);
-            });
-            return Status::Ok();
-          default:
-            return Status::Corruption("index record in a relation WAL");
-        }
-      });
+  PairsFold fold(core);
+  return OpenCore(env, dir, opt, StateKind::kRelation, rel.backend_name(), out,
+                  stats, fold);
 }
 
 persist::Status CheckpointRelationCore(EpochGuard<RelationIndex>& core,

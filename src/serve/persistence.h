@@ -11,12 +11,15 @@
 //                   seq strictly +1 per frame, payload = record codec below.
 //
 // Durable state at any instant = SNAPSHOT ⊕ the WAL frames past its seq.
-// Recovery loads the snapshot, replays exactly the frames with seq above the
-// snapshot's, truncates the log at the first bad frame (prefix contract of
-// ScanWal), and reopens for append. A checkpoint writes a fresh snapshot
-// (atomic rename) and only then resets the log — a crash between the two
-// replays old frames against the new snapshot, which the seq skip rule makes
-// a no-op, so every crash point lands on a batch-prefix-consistent state.
+// Recovery folds, then builds once: it decodes the snapshot, folds exactly
+// the frames with seq above the snapshot's into that logical state (the
+// documents and id counter, or the pair set) without touching the backend,
+// truncates the log at the first bad frame (prefix contract of ScanWal),
+// reopens for append, and only then loads the folded state with one
+// LoadSnapshot / AddPairsBulk. A checkpoint writes a fresh snapshot (atomic
+// rename) and only then resets the log — a crash between the two leaves old
+// frames behind the new snapshot, which the seq skip rule ignores, so every
+// crash point lands on a batch-prefix-consistent state.
 //
 // Logging is linearized with the batch: the facade encodes the payload
 // before applying (the apply may consume its input), applies inside the
@@ -59,7 +62,7 @@ struct DurableOptions {
 struct RecoveryStats {
   bool snapshot_loaded = false;    // a SNAPSHOT existed and verified
   uint64_t snapshot_seq = 0;       // batches the snapshot covered
-  uint64_t replayed_batches = 0;   // WAL frames applied on top
+  uint64_t replayed_batches = 0;   // WAL frames folded in on top
   uint64_t skipped_frames = 0;     // frames at or below the snapshot seq
   uint64_t dropped_wal_bytes = 0;  // torn/corrupt tail truncated away
 };
@@ -154,7 +157,7 @@ class DurableLog {
                                 std::vector<persist::SnapshotSection>* snapshot,
                                 persist::WalScanResult* wal);
 
-  /// Phase 2, after the caller replayed the scanned frames: records the
+  /// Phase 2, after the caller folded the scanned frames: records the
   /// recovered sequence, truncates any torn tail the scan reported, and
   /// opens the writer for append (creating the log when absent).
   persist::Status FinishOpen(uint64_t seq, const persist::WalScanResult& wal)
@@ -217,15 +220,21 @@ class DurableLog {
       persist::Status::Ok();
 };
 
-// --- core-level open / replay / checkpoint --------------------------------
+// --- core-level open / fold / checkpoint ----------------------------------
 //
 // These operate on the EpochGuard cores directly so the single-core facades
 // (ConcurrentIndex / ConcurrentRelation) and the per-shard loops of the
 // sharded facades share one recovery implementation. Preconditions: the core
 // is fresh (empty, epoch 0) and externally quiesced — recovery IS the
-// writer. Snapshot loads run under Maintain (state restoration, epoch
-// untouched); frame replay runs under Write with no logging, so the epoch
-// after open counts exactly the batches replayed on top of the snapshot.
+// writer. The snapshot and the frame tail are folded into one final state
+// first: documents mint ids by the rule every backend shares (each document
+// DynamicIndex::Accepts takes the next id, a rejected one none; an erase of
+// an unknown id is a no-op), and each pair keeps its last logged add or
+// remove. Every seq and decode check runs during the fold, so a refused open
+// has loaded nothing. The state is then installed in one exclusive section
+// (EpochGuard::Restore) that advances the epoch by the number of folded
+// batches: the epoch after open counts exactly the batches logged on top of
+// the snapshot, as if each had been applied.
 
 persist::Status OpenDurableIndexCore(persist::Env* env, const std::string& dir,
                                      const DurableOptions& opt,

@@ -153,11 +153,22 @@ struct RetireAllocator {
   };
 };
 
-// Vector alias for state traversed by optimistic readers. NOTE: hash maps on
-// read paths must be SeqHashMap (util/seq_hash_map.h), NOT std::unordered_map
-// with this allocator — the std hashtable's bucket pointer and bucket count
-// can tear under a concurrent rehash, sending a reader out of bounds of the
-// (parked but smaller) old bucket array.
+// Vector alias whose abandoned buffers stay mapped for optimistic readers.
+// NOTE: that keeps freed memory mapped; it does NOT make a reader's view
+// self-consistent. Any container whose bounds and data live in separate
+// members can tear under a concurrent reallocation:
+//  * a std::vector's begin and end: a reader's range-for (or a size() check
+//    followed by a subscript) can pair the old buffer's begin with the new
+//    buffer's end and walk past the parked buffer into unrelated heap. A
+//    sequence readers walk while the writer may grow it must be SeqVector
+//    (util/seq_vector.h), which serves data and length from one load;
+//  * a std hashtable's bucket pointer and bucket count: hash maps on read
+//    paths must be SeqHashMap (util/seq_hash_map.h), NOT std::unordered_map
+//    with this allocator.
+// retire_vector alone suffices only where readers reach the buffer through
+// a pointer taken from one load (a SeqHashMap table's slots). The sanitizers
+// cannot catch such a tear: under TSan/ASan the optimistic attempts hold the
+// shared lock (serve/epoch_guard.h), so only a plain build can crash on it.
 template <typename T>
 using retire_vector = std::vector<T, RetireAllocator<T>>;
 

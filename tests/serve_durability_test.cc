@@ -2,7 +2,9 @@
 // ConcurrentRelation and their sharded siblings bound to a MemEnv directory
 // — batch logging, checkpointing, crash-and-reopen recovery, the group-commit
 // window, and the loud-refusal paths (mismatched backend, mismatched shard
-// count, corrupt snapshot, vanished shard state).
+// count, corrupt snapshot, vanished shard state). Recovery folds the log tail
+// into one state and builds it once; the Fold* tests pin that fold to what a
+// batch-by-batch replay would have served.
 
 #include <cstdint>
 #include <map>
@@ -14,6 +16,7 @@
 #include "gtest/gtest.h"
 #include "persist/env.h"
 #include "persist/status.h"
+#include "persist/wal.h"
 #include "serve/concurrent_index.h"
 #include "serve/concurrent_relation.h"
 #include "serve/dynamic_index.h"
@@ -47,6 +50,23 @@ void ExpectServes(Facade& facade,
     ASSERT_TRUE(facade.Extract(id, 0, symbols.size(), &got)) << "id=" << id;
     EXPECT_EQ(got, symbols) << "id=" << id;
   }
+}
+
+/// Appends raw frames past the facade's last logged batch: a frame whose
+/// CRC holds but whose payload no decoder accepts (then a well-formed one
+/// behind it), or a well-formed frame that skips a sequence number. Either
+/// way the tail is inconsistent, not torn, so recovery must refuse it.
+void AppendBadTail(MemEnv& env, uint64_t last_seq, bool gap,
+                   const std::string& good_payload) {
+  std::unique_ptr<persist::WalWriter> wal;
+  ASSERT_TRUE(persist::WalWriter::OpenForAppend(&env, "db/WAL", &wal).ok());
+  if (gap) {
+    ASSERT_TRUE(wal->Append(last_seq + 2, good_payload).ok());
+  } else {
+    ASSERT_TRUE(wal->Append(last_seq + 1, std::string("\x63\0\0\0\0", 5)).ok());
+    ASSERT_TRUE(wal->Append(last_seq + 2, good_payload).ok());
+  }
+  ASSERT_TRUE(wal->Sync().ok());
 }
 
 class IndexDurabilityTest : public ::testing::TestWithParam<Backend> {};
@@ -158,6 +178,125 @@ TEST_P(IndexDurabilityTest, SyncWalNarrowsTheLossWindowToZero) {
   EXPECT_EQ(reopened.num_docs(), 2u);
 }
 
+TEST_P(IndexDurabilityTest, FoldDropsDocumentsErasedWithinTheTail) {
+  MemEnv env;
+  std::map<DocId, std::vector<Symbol>> model;
+  std::vector<DocId> ids;
+  {
+    ConcurrentIndex index(MakeDynamicIndex(GetParam()));
+    ASSERT_TRUE(index.OpenDurable(&env, "db").ok());
+    std::vector<std::vector<Symbol>> docs = {Doc(1, 9), Doc(2, 7), Doc(3, 8)};
+    ids = index.InsertBatch(docs);
+    ASSERT_EQ(ids.size(), docs.size());
+    for (size_t d = 0; d < docs.size(); ++d) model[ids[d]] = docs[d];
+    EXPECT_EQ(index.EraseBatch({ids[1]}), 1u);
+    model.erase(ids[1]);
+    std::vector<DocId> more = index.InsertBatch({Doc(4, 6)});
+    model[more[0]] = Doc(4, 6);
+    EXPECT_EQ(index.EraseBatch({more[0], ids[2]}), 2u);
+    model.erase(more[0]);
+    model.erase(ids[2]);
+  }
+  ConcurrentIndex reopened(MakeDynamicIndex(GetParam()));
+  RecoveryStats stats;
+  ASSERT_TRUE(reopened.OpenDurable(&env, "db", {}, &stats).ok());
+  EXPECT_EQ(stats.replayed_batches, 4u);
+  EXPECT_EQ(reopened.epoch(), 4u);
+  ExpectServes(reopened, model);
+  std::vector<Symbol> got;
+  EXPECT_FALSE(reopened.Extract(ids[1], 0, 1, &got));
+  reopened.unsynchronized().CheckInvariants();
+}
+
+TEST_P(IndexDurabilityTest, FoldErasesSnapshotDocumentsAndIgnoresUnknownIds) {
+  MemEnv env;
+  std::map<DocId, std::vector<Symbol>> model;
+  std::vector<DocId> ids;
+  {
+    ConcurrentIndex index(MakeDynamicIndex(GetParam()));
+    ASSERT_TRUE(index.OpenDurable(&env, "db").ok());
+    std::vector<std::vector<Symbol>> docs = {Doc(5, 9), Doc(6, 7), Doc(7, 8)};
+    ids = index.InsertBatch(docs);
+    for (size_t d = 0; d < docs.size(); ++d) model[ids[d]] = docs[d];
+    ASSERT_TRUE(index.Checkpoint().ok());
+    // A snapshot document erased in the tail, beside an id never minted;
+    // then the same document again, now unknown as well.
+    EXPECT_EQ(index.EraseBatch({ids[0], 987654}), 1u);
+    model.erase(ids[0]);
+    EXPECT_EQ(index.EraseBatch({ids[0]}), 0u);
+    std::vector<DocId> more = index.InsertBatch({Doc(8, 5)});
+    model[more[0]] = Doc(8, 5);
+  }
+  ConcurrentIndex reopened(MakeDynamicIndex(GetParam()));
+  RecoveryStats stats;
+  ASSERT_TRUE(reopened.OpenDurable(&env, "db", {}, &stats).ok());
+  EXPECT_TRUE(stats.snapshot_loaded);
+  EXPECT_EQ(stats.replayed_batches, 3u);
+  EXPECT_EQ(reopened.epoch(), 3u);
+  ExpectServes(reopened, model);
+  std::vector<DocId> fresh = reopened.InsertBatch({Doc(9, 5)});
+  ASSERT_EQ(fresh.size(), 1u);
+  EXPECT_EQ(model.count(fresh[0]), 0u);
+  EXPECT_NE(fresh[0], ids[0]);  // an erased id is never minted again
+}
+
+TEST_P(IndexDurabilityTest, FoldMintsNoIdForARejectedDocument) {
+  MemEnv env;
+  // The twin sees the same batches and never crashes: it is what the
+  // pre-crash facade would have done next.
+  ConcurrentIndex twin(MakeDynamicIndex(GetParam()));
+  std::map<DocId, std::vector<Symbol>> model;
+  {
+    ConcurrentIndex index(MakeDynamicIndex(GetParam()));
+    ASSERT_TRUE(index.OpenDurable(&env, "db").ok());
+    // Rejected by every backend: an empty document, a symbol below
+    // kMinSymbol, a reserved symbol. Symbol 300 exceeds only the baseline's
+    // default alphabet, so the backends disagree on that one.
+    std::vector<std::vector<Symbol>> batch = {
+        Doc(1, 6), {}, {kMinSymbol, 0}, Doc(2, 5),
+        {kMinSymbol, kMaxPatternSymbol}, {kMinSymbol, 300}, Doc(3, 4)};
+    std::vector<DocId> ids = index.InsertBatch(batch);
+    ASSERT_EQ(ids, twin.InsertBatch(batch));
+    for (size_t d = 0; d < batch.size(); ++d) {
+      if (ids[d] != kInvalidDocId) model[ids[d]] = batch[d];
+    }
+    EXPECT_EQ(ids[1], kInvalidDocId);
+    EXPECT_EQ(ids[2], kInvalidDocId);
+    EXPECT_EQ(ids[4], kInvalidDocId);
+    EXPECT_EQ(index.EraseBatch({ids[0]}), 1u);
+    EXPECT_EQ(twin.EraseBatch({ids[0]}), 1u);
+    model.erase(ids[0]);
+  }
+  ConcurrentIndex reopened(MakeDynamicIndex(GetParam()));
+  RecoveryStats stats;
+  ASSERT_TRUE(reopened.OpenDurable(&env, "db", {}, &stats).ok());
+  EXPECT_EQ(stats.replayed_batches, 2u);
+  ExpectServes(reopened, model);
+  std::vector<std::vector<Symbol>> next = {Doc(9, 6), {}, Doc(10, 3)};
+  EXPECT_EQ(reopened.InsertBatch(next), twin.InsertBatch(next));
+}
+
+TEST_P(IndexDurabilityTest, CorruptMidTailFrameIsLoudAndServesNothing) {
+  for (bool gap : {false, true}) {
+    SCOPED_TRACE(gap ? "sequence gap" : "undecodable payload");
+    MemEnv env;
+    {
+      ConcurrentIndex index(MakeDynamicIndex(GetParam()));
+      ASSERT_TRUE(index.OpenDurable(&env, "db").ok());
+      index.InsertBatch({Doc(1, 8), Doc(2, 8)});
+      index.InsertBatch({Doc(3, 8)});
+    }
+    AppendBadTail(env, /*last_seq=*/2, gap,
+                  serve_persist::EncodeInsertBatch({Doc(4, 8)}));
+    ConcurrentIndex reopened(MakeDynamicIndex(GetParam()));
+    persist::Status s = reopened.OpenDurable(&env, "db");
+    EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+    EXPECT_FALSE(reopened.durable());
+    EXPECT_EQ(reopened.num_docs(), 0u);
+    EXPECT_EQ(reopened.epoch(), 0u);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllBackends, IndexDurabilityTest,
                          ::testing::Values(Backend::kT1, Backend::kT2,
                                            Backend::kT3, Backend::kBaseline),
@@ -255,6 +394,106 @@ TEST_P(RelationDurabilityTest, CheckpointCompactsRemovals) {
   EXPECT_TRUE(reopened.Related(1, 10));
   EXPECT_FALSE(reopened.Related(2, 20));
   EXPECT_TRUE(reopened.Related(5, 50));
+}
+
+TEST_P(RelationDurabilityTest, FoldKeepsTheLastOperationOnEachPair) {
+  MemEnv env;
+  {
+    ConcurrentRelation relation(MakeRelationIndex(GetParam()));
+    ASSERT_TRUE(relation.OpenDurable(&env, "db").ok());
+    EXPECT_EQ(relation.AddPairsBatch({{1, 10}, {2, 20}}), 2u);
+    // Add -> remove -> add of (1, 10); a remove of an absent pair beside it.
+    EXPECT_EQ(relation.RemovePairsBatch({{1, 10}, {7, 7}}), 1u);
+    EXPECT_EQ(relation.AddPairsBatch({{1, 10}}), 1u);
+    // Remove -> add of (2, 20), duplicated within the batch.
+    EXPECT_EQ(relation.RemovePairsBatch({{2, 20}}), 1u);
+    EXPECT_EQ(relation.AddPairsBatch({{2, 20}, {2, 20}, {3, 30}}), 2u);
+    // Add -> remove of (3, 30).
+    EXPECT_EQ(relation.RemovePairsBatch({{3, 30}}), 1u);
+  }
+  ConcurrentRelation reopened(MakeRelationIndex(GetParam()));
+  RecoveryStats stats;
+  ASSERT_TRUE(reopened.OpenDurable(&env, "db", {}, &stats).ok());
+  EXPECT_EQ(stats.replayed_batches, 6u);
+  EXPECT_EQ(reopened.epoch(), 6u);
+  EXPECT_EQ(reopened.num_pairs(), 2u);
+  EXPECT_TRUE(reopened.Related(1, 10));
+  EXPECT_TRUE(reopened.Related(2, 20));
+  EXPECT_FALSE(reopened.Related(3, 30));
+  EXPECT_FALSE(reopened.Related(7, 7));
+  reopened.unsynchronized().CheckInvariants();
+}
+
+TEST_P(RelationDurabilityTest, FoldRemovesAndReaddsSnapshotPairs) {
+  MemEnv env;
+  {
+    ConcurrentRelation relation(MakeRelationIndex(GetParam()));
+    ASSERT_TRUE(relation.OpenDurable(&env, "db").ok());
+    relation.AddPairsBatch({{1, 10}, {2, 20}, {3, 30}});
+    ASSERT_TRUE(relation.Checkpoint().ok());
+    EXPECT_EQ(relation.RemovePairsBatch({{1, 10}, {2, 20}, {8, 8}}), 2u);
+    EXPECT_EQ(relation.AddPairsBatch({{2, 20}, {4, 40}}), 2u);
+  }
+  ConcurrentRelation reopened(MakeRelationIndex(GetParam()));
+  RecoveryStats stats;
+  ASSERT_TRUE(reopened.OpenDurable(&env, "db", {}, &stats).ok());
+  EXPECT_TRUE(stats.snapshot_loaded);
+  EXPECT_EQ(stats.replayed_batches, 2u);
+  EXPECT_EQ(reopened.epoch(), 2u);
+  EXPECT_EQ(reopened.num_pairs(), 3u);
+  EXPECT_FALSE(reopened.Related(1, 10));
+  EXPECT_TRUE(reopened.Related(2, 20));
+  EXPECT_TRUE(reopened.Related(3, 30));
+  EXPECT_TRUE(reopened.Related(4, 40));
+  EXPECT_FALSE(reopened.Related(8, 8));
+}
+
+TEST_P(RelationDurabilityTest, FoldScreensUnrepresentablePairs) {
+  MemEnv env;
+  // Beyond the deletion-only shell's default id caps; the other backends
+  // represent it. Recovery must agree with the facade either way.
+  const uint32_t far = (1u << 20) + 5;
+  const RelationPairs probes = {{far, 3}, {3, far}, {4, 4}, {far, 9}};
+  std::vector<bool> before;
+  uint64_t pairs_before = 0;
+  {
+    ConcurrentRelation relation(MakeRelationIndex(GetParam()));
+    ASSERT_TRUE(relation.OpenDurable(&env, "db").ok());
+    relation.AddPairsBatch({{far, 3}, {3, far}, {4, 4}});
+    relation.RemovePairsBatch({{far, 3}, {far, 9}});
+    relation.AddPairsBatch({{far, 9}, {far, 3}});
+    for (const auto& [o, a] : probes) before.push_back(relation.Related(o, a));
+    pairs_before = relation.num_pairs();
+  }
+  ConcurrentRelation reopened(MakeRelationIndex(GetParam()));
+  ASSERT_TRUE(reopened.OpenDurable(&env, "db").ok());
+  EXPECT_EQ(reopened.num_pairs(), pairs_before);
+  for (size_t i = 0; i < probes.size(); ++i) {
+    EXPECT_EQ(reopened.Related(probes[i].first, probes[i].second), before[i])
+        << probes[i].first << " -> " << probes[i].second;
+  }
+}
+
+TEST_P(RelationDurabilityTest, CorruptMidTailFrameIsLoudAndServesNothing) {
+  for (bool gap : {false, true}) {
+    SCOPED_TRACE(gap ? "sequence gap" : "undecodable payload");
+    MemEnv env;
+    {
+      ConcurrentRelation relation(MakeRelationIndex(GetParam()));
+      ASSERT_TRUE(relation.OpenDurable(&env, "db").ok());
+      relation.AddPairsBatch({{1, 10}, {2, 20}});
+      relation.RemovePairsBatch({{2, 20}});
+    }
+    AppendBadTail(env, /*last_seq=*/2, gap,
+                  serve_persist::EncodePairsBatch(
+                      serve_persist::WalOp::kAddPairs, {{5, 50}}));
+    ConcurrentRelation reopened(MakeRelationIndex(GetParam()));
+    persist::Status s = reopened.OpenDurable(&env, "db");
+    EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+    EXPECT_FALSE(reopened.durable());
+    EXPECT_EQ(reopened.num_pairs(), 0u);
+    EXPECT_EQ(reopened.epoch(), 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, RelationDurabilityTest,

@@ -53,6 +53,9 @@ class ThrowingIndex final : public DynamicIndex {
     MaybeThrow();
     return base_->InsertBulk(std::move(docs));
   }
+  bool Accepts(const std::vector<Symbol>& doc) const override {
+    return base_->Accepts(doc);
+  }
 
   uint64_t Count(const std::vector<Symbol>& pattern) const override {
     return base_->Count(pattern);

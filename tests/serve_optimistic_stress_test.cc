@@ -22,8 +22,10 @@
 #include "serve/concurrent_index.h"
 #include "serve/dynamic_index.h"
 #include "serve/epoch_guard.h"
+#include "text/fm_index.h"
 #include "util/rng.h"
 #include "util/seq_hash_map.h"
+#include "util/seq_vector.h"
 
 namespace dyndex {
 namespace {
@@ -77,6 +79,7 @@ void RunToyStress(uint32_t max_attempts, int readers, uint64_t writes,
   guard.set_optimistic_policy(policy);
 
   std::atomic<bool> done{false};
+  std::atomic<int> started{0};
   std::atomic<uint64_t> total_reads{0};
   std::atomic<uint64_t> inconsistent{0};
   std::vector<std::thread> pool;
@@ -84,18 +87,24 @@ void RunToyStress(uint32_t max_attempts, int readers, uint64_t writes,
     pool.emplace_back([&, r] {
       Rng rng(seed * 977 + static_cast<uint64_t>(r));
       uint64_t n = 0;
-      while (!done.load(std::memory_order_acquire)) {
+      do {
         uint64_t epoch = 0;
         ToySample s = guard.Read(
             &epoch, [](const ToyBackend& b) { return ReadToy(b); });
         if (s.sum != s.len * s.first) {
           inconsistent.fetch_add(1, std::memory_order_relaxed);
         }
-        ++n;
+        if (n++ == 0) started.fetch_add(1, std::memory_order_release);
         if (rng.Below(64) == 0) std::this_thread::yield();
-      }
+      } while (!done.load(std::memory_order_acquire));
       total_reads.fetch_add(n, std::memory_order_relaxed);
     });
+  }
+  // Start latch: every reader completes one Read() before the writer
+  // begins, so a writer that outruns thread start-up cannot leave the
+  // readers nothing to do.
+  while (started.load(std::memory_order_acquire) < readers) {
+    std::this_thread::yield();
   }
   for (uint64_t g = 1; g <= writes; ++g) {
     guard.Write([g](ToyBackend& b) { WriteToy(b, g); });
@@ -287,6 +296,129 @@ TEST(ServeOptimisticStress, IndexChurnTinyBudget) {
   index.unsynchronized().CheckInvariants();
 }
 
+// --- SeqVector views under growth --------------------------------------------
+
+/// A vector readers walk lock-free while every write rebuilds it from empty:
+/// 64 push_backs reallocate it seven times inside each exclusive section.
+/// Entry i always holds i, so a view is self-consistent exactly when every
+/// entry below its length equals its index. Each read attempt takes many
+/// views back to back so that its views overlap the writer's reallocations;
+/// an inconsistent view counts even inside an attempt validation later
+/// discards, because a view that pairs one block's data with another's
+/// length has already walked memory it does not own.
+TEST(ServeOptimisticStress, SeqVectorViewsStaySelfConsistentUnderGrowth) {
+  struct GrowingBackend {
+    SeqVector<uint64_t> v;
+  };
+  EpochGuard<GrowingBackend> guard(std::make_unique<GrowingBackend>());
+  OptimisticPolicy policy;
+  policy.max_attempts = 3;
+  guard.set_optimistic_policy(policy);
+  auto rebuild = [](GrowingBackend& b) {
+    b.v = SeqVector<uint64_t>();
+    for (uint64_t i = 0; i < 64; ++i) b.v.push_back(i);
+  };
+  guard.Write(rebuild);
+
+  std::atomic<bool> done{false};
+  std::atomic<int> started{0};
+  std::atomic<uint64_t> torn{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&] {
+      bool first = true;
+      do {
+        guard.Read(nullptr, [&](const GrowingBackend& b) {
+          for (int k = 0; k < 64; ++k) {
+            const auto view = b.v.view();
+            uint64_t bad = view.size() > 64;
+            for (uint64_t i = 0; i < view.size() && bad == 0; ++i) {
+              bad = view[i] != i;
+            }
+            if (bad != 0) torn.fetch_add(1, std::memory_order_relaxed);
+          }
+          return 0;
+        });
+        if (first) started.fetch_add(1, std::memory_order_release);
+        first = false;
+      } while (!done.load(std::memory_order_acquire));
+    });
+  }
+  while (started.load(std::memory_order_acquire) < 2) {
+    std::this_thread::yield();
+  }
+  for (int w = 0; w < 20000; ++w) guard.Write(rebuild);
+  done.store(true, std::memory_order_release);
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(torn.load(), 0u);
+  guard.Read(nullptr, [](const GrowingBackend& b) {
+    EXPECT_EQ(b.v.size(), 64u);
+    return 0;
+  });
+  guard.ReclaimRetired();
+  EXPECT_EQ(guard.retired_pending(), 0u);
+}
+
+// --- top-list growth under lock-free readers ---------------------------------
+
+/// Transformation 2's top list grows one push_back at a time while readers
+/// walk it lock-free: with tau = 64 every document of n_f/64 symbols or more
+/// is its own top collection, so each insert appends a top and every
+/// doubling of the list reallocates it under the readers. A reader that took
+/// the list's start and length from two different buffers would walk off
+/// the old one (a crash, not a failed validation). The documents are one
+/// symbol repeated, so the count of that symbol is the live symbol total and
+/// every answer is checked against the epoch it reports.
+TEST(ServeOptimisticStress, TopListGrowthUnderOptimisticCounts) {
+  constexpr uint64_t kBaseSymbols = 1 << 14;
+  constexpr uint64_t kTopSymbols = 300;  // >= n_f / tau, above C0's room
+  constexpr int kTopsPerRound = 50;      // stays below the 2 n_f rebase
+  const std::vector<Symbol> pattern = {kMinSymbol};
+  std::atomic<uint64_t> mismatches{0};
+  uint64_t attempts = 0;
+  for (int round = 0; round < 48; ++round) {
+    DynamicIndexOptions opt;
+    opt.min_c0 = 64;
+    opt.tau = 64;
+    ConcurrentIndex index(MakeDynamicIndex(Backend::kT2, opt));
+    OptimisticPolicy policy;
+    policy.max_attempts = 3;
+    index.set_optimistic_policy(policy);
+    // Epoch 1: the cold base, one top; n_f becomes its size.
+    std::vector<std::vector<Symbol>> base(
+        kBaseSymbols / 512, std::vector<Symbol>(512, kMinSymbol));
+    index.InsertBatch(base);
+
+    std::atomic<bool> done{false};
+    std::vector<std::thread> readers;
+    for (int r = 0; r < 2; ++r) {
+      readers.emplace_back([&] {
+        while (!done.load(std::memory_order_acquire)) {
+          uint64_t epoch = 0;
+          const uint64_t c = index.Count(pattern, &epoch);
+          if (c != kBaseSymbols + (epoch - 1) * kTopSymbols) {
+            mismatches.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+      });
+    }
+    for (int t = 0; t < kTopsPerRound; ++t) {
+      index.InsertBatch({std::vector<Symbol>(kTopSymbols, kMinSymbol)});
+    }
+    done.store(true, std::memory_order_release);
+    for (auto& t : readers) t.join();
+    attempts += index.optimistic_stats().attempts;
+    const auto& t2 =
+        dynamic_cast<CollectionIndex<DynamicCollectionT2<FmIndex>>&>(
+            index.unsynchronized())
+            .collection();
+    EXPECT_EQ(t2.num_tops(), 1u + kTopsPerRound);  // one top per insert
+    index.unsynchronized().CheckInvariants();
+  }
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_GT(attempts, 0u);
+}
+
 // --- starvation regression under a continuous writer -------------------------
 
 /// The PR-7 regression: a writer looping batches back-to-back must not
@@ -318,8 +450,14 @@ TEST(ServeOptimisticStress, PacedWriterNeverStarvesValidatedReaders) {
   index.set_pacing_policy(pacing);
 
   std::atomic<bool> done{false};
+  std::atomic<int> started{0};
   std::atomic<uint64_t> batches{0};
   std::thread writer([&] {
+    // Start latch: both readers have completed a Count before the first
+    // batch, so window 0 measures the paced writer, not thread start-up.
+    while (started.load(std::memory_order_acquire) < 2) {
+      std::this_thread::yield();
+    }
     Rng wr(910);
     std::vector<DocId> churn;
     while (!done.load(std::memory_order_acquire)) {
@@ -339,11 +477,14 @@ TEST(ServeOptimisticStress, PacedWriterNeverStarvesValidatedReaders) {
     readers.emplace_back([&, r] {
       Rng rd(920 + static_cast<uint64_t>(r));
       std::vector<Symbol> pattern(2);
+      bool first = true;
       while (!done.load(std::memory_order_acquire)) {
         pattern[0] = static_cast<Symbol>(rd.Below(kSigma));
         pattern[1] = static_cast<Symbol>(rd.Below(kSigma));
         uint64_t c = index.Count(pattern);
         (void)c;
+        if (first) started.fetch_add(1, std::memory_order_release);
+        first = false;
       }
     });
   }
