@@ -7,6 +7,10 @@
 // query targets until the swap.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+#include <utility>
+#include <vector>
+
 #include "bench/bench_util.h"
 #include "core/transformation2.h"
 #include "gen/text_gen.h"
@@ -71,6 +75,50 @@ void BM_Fig3_QuerySettled(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Fig3_QuerySettled)->Unit(benchmark::kMicrosecond);
+
+// Query cost under steady churn. One insert and one erase per query hold
+// the live size near n_f, so no global rebuild resets the top list and
+// every query visits each top; the purge tick's merge is what bounds them.
+// Only the Count is timed; `tops` is the mean top count the queries saw.
+void BM_Fig3_QuerySteadyChurn(benchmark::State& state) {
+  T2Options opt;
+  opt.mode = RebuildMode::kThreaded;
+  DynamicCollectionT2<FmIndex> coll(opt);
+  Rng rng(17);
+  std::vector<std::vector<Symbol>> docs;
+  for (uint64_t total = 0; total < (1 << 17);) {
+    docs.push_back(MarkovText(rng, 512, 16));
+    total += docs.back().size();
+  }
+  std::vector<DocId> ids = coll.InsertBulk(std::move(docs));  // settled
+  auto churn = [&] {
+    ids.push_back(coll.Insert(MarkovText(rng, 512, 16)));
+    const size_t victim = rng.Below(ids.size());
+    coll.Erase(ids[victim]);
+    ids[victim] = ids.back();
+    ids.pop_back();
+  };
+  for (int i = 0; i < 512; ++i) churn();  // reach the steady top count
+  auto patterns = MakePatterns(GetCorpus(1 << 16, 16), 6, 32);
+
+  uint64_t tops = 0;
+  size_t i = 0;
+  for (auto _ : state) {
+    churn();
+    const auto start = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(coll.Count(patterns[i++ % patterns.size()]));
+    state.SetIterationTime(std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count());
+    tops += coll.num_tops();
+  }
+  coll.ForceAllPending();
+  state.counters["tops"] =
+      static_cast<double>(tops) / static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_Fig3_QuerySteadyChurn)
+    ->UseManualTime()
+    ->Unit(benchmark::kMicrosecond);
 
 // Correctness-of-lifecycle micro-check as a benchmark: deletions racing the
 // background build are replayed at swap (the Figure 3(c) hand-off).

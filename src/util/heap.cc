@@ -1,0 +1,17 @@
+#include "util/heap.h"
+
+#include <cstdlib>  // defines __GLIBC__ on glibc
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
+namespace dyndex {
+
+void ReleaseFreeHeap() {
+#if defined(__GLIBC__)
+  malloc_trim(0);
+#endif
+}
+
+}  // namespace dyndex

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <thread>
@@ -430,6 +431,7 @@ TEST(ServeOptimisticStress, TopListGrowthUnderOptimisticCounts) {
 /// (lock-assisted attempts there still validate and count).
 TEST(ServeOptimisticStress, PacedWriterNeverStarvesValidatedReaders) {
   constexpr uint32_t kSigma = 4;
+  constexpr int kReaders = 2;
   Rng rng(909);
   DynamicIndexOptions opt;
   opt.min_c0 = 64;
@@ -455,7 +457,7 @@ TEST(ServeOptimisticStress, PacedWriterNeverStarvesValidatedReaders) {
   std::thread writer([&] {
     // Start latch: both readers have completed a Count before the first
     // batch, so window 0 measures the paced writer, not thread start-up.
-    while (started.load(std::memory_order_acquire) < 2) {
+    while (started.load(std::memory_order_acquire) < kReaders) {
       std::this_thread::yield();
     }
     Rng wr(910);
@@ -473,7 +475,7 @@ TEST(ServeOptimisticStress, PacedWriterNeverStarvesValidatedReaders) {
     }
   });
   std::vector<std::thread> readers;
-  for (int r = 0; r < 2; ++r) {
+  for (int r = 0; r < kReaders; ++r) {
     readers.emplace_back([&, r] {
       Rng rd(920 + static_cast<uint64_t>(r));
       std::vector<Symbol> pattern(2);
@@ -488,17 +490,39 @@ TEST(ServeOptimisticStress, PacedWriterNeverStarvesValidatedReaders) {
       }
     });
   }
-  // Four measurement windows, each scoped by *writer progress* (>= 3 more
-  // batches) rather than wall clock, so the assertion is exactly "while the
-  // writer loops continuously, validated lock-free reads keep accruing".
+  // Four measurement windows, each scoped by writer progress (>= 3 more
+  // batches) *and* reader progress (more optimistic attempts started than
+  // there are readers) rather than wall clock, so the assertion is exactly
+  // "while the writer loops continuously, readers that get to run keep
+  // validating lock-free". A reader the host deschedules loses at most the
+  // attempt it was in, so a descheduled pair cannot read as starved. A
+  // reader the writer starves at capture starts no attempt, and the deadline
+  // turns that into a loud failure.
   for (int window = 0; window < 4; ++window) {
-    const uint64_t v0 = index.optimistic_stats().validated;
+    const OptimisticStats s0 = index.optimistic_stats();
     const uint64_t b0 = batches.load(std::memory_order_acquire);
-    while (batches.load(std::memory_order_acquire) < b0 + 3) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (batches.load(std::memory_order_acquire) < b0 + 3 ||
+           index.optimistic_stats().attempts - s0.attempts <= kReaders) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        ADD_FAILURE() << "window " << window << " never ended: "
+                      << batches.load(std::memory_order_acquire) - b0
+                      << " batches, "
+                      << index.optimistic_stats().attempts - s0.attempts
+                      << " optimistic attempts in 60 s";
+        break;
+      }
       std::this_thread::yield();
     }
-    EXPECT_GT(index.optimistic_stats().validated, v0)
-        << "no validated lock-free read in window " << window;
+    const OptimisticStats s1 = index.optimistic_stats();
+    EXPECT_GT(s1.validated, s0.validated)
+        << "no validated lock-free read in window " << window << ": "
+        << s1.attempts - s0.attempts << " attempts, "
+        << s1.retries - s0.retries << " retries, "
+        << s1.capture_exhausted - s0.capture_exhausted
+        << " capture-exhausted, " << s1.locked_reads - s0.locked_reads
+        << " locked reads, " << batches.load() - b0 << " batches";
   }
   done.store(true, std::memory_order_release);
   writer.join();
