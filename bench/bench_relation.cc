@@ -1,8 +1,8 @@
 // Relation serving benchmarks: bulk vs pairwise construction of the
 // Theorem 2 dynamic relation (the cold-start path AddPairsBulk routes into
-// one sub-collection build), and concurrent reader throughput over
-// ConcurrentRelation on the shared epoch core — the relation-side analogue
-// of bench_serve_concurrent.
+// one sub-collection build), and concurrent reader throughput over a
+// single-core ShardedRelation (K = 1) on the shared epoch core — the
+// relation-side analogue of bench_serve_concurrent.
 //
 // The headline row pair: RelationBuild/pairwise vs RelationBuild/bulk at
 // 2^20 (~1e6) pairs. Pairwise insertion pays the merge cascade over and over
@@ -19,8 +19,8 @@
 #include <vector>
 
 #include "gen/relation_gen.h"
-#include "serve/concurrent_relation.h"
 #include "serve/relation_index.h"
+#include "serve/sharded_relation.h"
 #include "util/rng.h"
 
 namespace dyndex {
@@ -93,7 +93,7 @@ BENCHMARK(BM_RelationBuild_BaselineBulk)
 
 /// Prebuilt concurrent relation + query stream, shared across iterations.
 struct RelServeFixture {
-  std::unique_ptr<ConcurrentRelation> rel;
+  std::unique_ptr<ShardedRelation> rel;
   RelationPairs churn;  // writer add/remove pool
 };
 
@@ -101,8 +101,8 @@ RelServeFixture* GetServeFixture() {
   static RelServeFixture* fixture = [] {
     auto* f = new RelServeFixture();
     RelationIndexOptions opt;
-    f->rel = std::make_unique<ConcurrentRelation>(
-        MakeRelationIndex(RelationBackend::kTheorem2, opt));
+    f->rel =
+        std::make_unique<ShardedRelation>(1, RelationBackend::kTheorem2, opt);
     f->rel->AddPairsBatch(GetPairs(1 << 17));
     Rng rng(92);
     f->churn = GenPairs(rng, 4096, kObjects, kLabels, 0.8);
@@ -111,7 +111,7 @@ RelServeFixture* GetServeFixture() {
   return fixture;
 }
 
-void RelReaderWork(const ConcurrentRelation& rel, uint64_t seed,
+void RelReaderWork(const ShardedRelation& rel, uint64_t seed,
                    uint64_t queries) {
   Rng rng(seed);
   for (uint64_t q = 0; q < queries; ++q) {

@@ -1,11 +1,11 @@
 // Concurrent serving throughput: queries/second at 1/2/4/8 reader threads
-// against a ConcurrentIndex over Transformation 2 (threaded rebuilds), with
-// and without a live writer applying batched updates, and with the
-// optimistic seqlock read path on (optimistic:1, the default policy) vs
-// pinned to the shared lock (optimistic:0, the locked baseline). Rows also
-// report the read-path outcome counters (validated / retries / fallbacks,
-// the fallback-cause split capture_exhausted / retries_exhausted /
-// locked_reads) and the writer's batch count, so the JSON shows both sides
+// against a single-core ShardedIndex (K = 1) over Transformation 2 (threaded
+// rebuilds), with and without a live writer applying batched updates, and
+// with the optimistic seqlock read path on (optimistic:1, the default
+// policy) vs pinned to the shared lock (optimistic:0, the locked baseline).
+// Rows also report the read-path outcome counters (validated / retries /
+// fallbacks, the fallback-cause split capture_exhausted / retries_exhausted
+// / locked_reads) and the writer's batch count, so the JSON shows both sides
 // of the tradeoff: lock-free readers stop throttling the writer, so
 // writer_batches rises under optimistic:1 — and on few-core machines the
 // now-unthrottled writer competes with readers for CPU, which can depress
@@ -40,8 +40,8 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "serve/concurrent_index.h"
 #include "serve/dynamic_index.h"
+#include "serve/sharded_index.h"
 #include "util/rng.h"
 
 namespace dyndex {
@@ -56,7 +56,7 @@ constexpr uint64_t kQueriesPerReader = 512;
 
 /// Prebuilt serving index + query/update streams, shared across iterations.
 struct ServeFixture {
-  std::unique_ptr<ConcurrentIndex> index;
+  std::unique_ptr<ShardedIndex> index;
   std::vector<std::vector<Symbol>> patterns;
   std::vector<std::vector<Symbol>> update_docs;  // writer insert pool
   std::vector<DocId> churn_ids;                  // ids the writer cycles
@@ -70,8 +70,7 @@ ServeFixture* GetFixture() {
     DynamicIndexOptions opt;
     opt.mode = RebuildMode::kThreaded;
     opt.min_c0 = 4096;
-    f->index = std::make_unique<ConcurrentIndex>(
-        MakeDynamicIndex(Backend::kT2, opt));
+    f->index = std::make_unique<ShardedIndex>(1, Backend::kT2, opt);
     f->index->InsertBatch(corpus.docs);
     f->index->Flush();
     f->patterns = bench::MakePatterns(corpus, kPatternLen, kNumPatterns);
@@ -84,7 +83,7 @@ ServeFixture* GetFixture() {
   return fixture;
 }
 
-void ReaderWork(const ConcurrentIndex& index,
+void ReaderWork(const ShardedIndex& index,
                 const std::vector<std::vector<Symbol>>& patterns,
                 uint64_t seed, uint64_t queries) {
   Rng rng(seed);

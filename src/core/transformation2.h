@@ -35,7 +35,7 @@
 // Deletions that race a background build are replayed on the new structure at
 // swap time, so a swap is always consistent.
 //
-// Threading contract (see serve/concurrent_index.h for the serving wrapper):
+// Threading contract (see serve/sharded_index.h for the serving wrapper):
 //  * A builder thread only ever touches its own document snapshot (moved into
 //    the std::async closure) and the Semi it constructs; it never reads or
 //    writes collection state, so it cannot race queries.

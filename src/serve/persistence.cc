@@ -579,11 +579,11 @@ class PairsFold {
 
 }  // namespace
 
-persist::Status OpenDurableIndexCore(persist::Env* env, const std::string& dir,
-                                     const DurableOptions& opt,
-                                     EpochGuard<DynamicIndex>& core,
-                                     std::unique_ptr<DurableLog>* out,
-                                     RecoveryStats* stats) {
+persist::Status OpenDurableCore(persist::Env* env, const std::string& dir,
+                                const DurableOptions& opt,
+                                EpochGuard<DynamicIndex>& core,
+                                std::unique_ptr<DurableLog>* out,
+                                RecoveryStats* stats) {
   DynamicIndex& idx = core.unsynchronized();
   DYNDEX_CHECK(idx.num_docs() == 0 && core.epoch() == 0);
   DocsFold fold(core);
@@ -591,9 +591,9 @@ persist::Status OpenDurableIndexCore(persist::Env* env, const std::string& dir,
                   stats, fold);
 }
 
-persist::Status CheckpointIndexCore(EpochGuard<DynamicIndex>& core,
-                                    DurableLog& log) {
-  // Checkpoint runs on the facade's writer thread by contract.
+persist::Status CheckpointCore(EpochGuard<DynamicIndex>& core,
+                               DurableLog& log) {
+  // Checkpoint runs under the shard's writer mutex, by contract.
   log.writer_role().AssertHeld();
   if (!log.status().ok()) return log.status();
   std::vector<Document> docs;
@@ -614,12 +614,11 @@ persist::Status CheckpointIndexCore(EpochGuard<DynamicIndex>& core,
   return log.Checkpoint(sections);
 }
 
-persist::Status OpenDurableRelationCore(persist::Env* env,
-                                        const std::string& dir,
-                                        const DurableOptions& opt,
-                                        EpochGuard<RelationIndex>& core,
-                                        std::unique_ptr<DurableLog>* out,
-                                        RecoveryStats* stats) {
+persist::Status OpenDurableCore(persist::Env* env, const std::string& dir,
+                                const DurableOptions& opt,
+                                EpochGuard<RelationIndex>& core,
+                                std::unique_ptr<DurableLog>* out,
+                                RecoveryStats* stats) {
   RelationIndex& rel = core.unsynchronized();
   DYNDEX_CHECK(rel.num_pairs() == 0 && core.epoch() == 0);
   PairsFold fold(core);
@@ -627,9 +626,9 @@ persist::Status OpenDurableRelationCore(persist::Env* env,
                   stats, fold);
 }
 
-persist::Status CheckpointRelationCore(EpochGuard<RelationIndex>& core,
-                                       DurableLog& log) {
-  // Checkpoint runs on the facade's writer thread by contract.
+persist::Status CheckpointCore(EpochGuard<RelationIndex>& core,
+                               DurableLog& log) {
+  // Checkpoint runs under the shard's writer mutex, by contract.
   log.writer_role().AssertHeld();
   if (!log.status().ok()) return log.status();
   RelationPairs pairs;

@@ -2,7 +2,9 @@
 // facade batches into WAL frames and facade state into snapshot sections,
 // plus the per-core DurableLog that owns a directory's on-disk state.
 //
-// Per-core layout (one directory per EpochGuard-wrapped backend):
+// Per-core layout (one directory per EpochGuard-wrapped backend; the
+// facades of serve/shard_core.h keep shard s's in `<dir>/shard-<s>/`, next
+// to one MANIFEST in `<dir>`):
 //   <dir>/SNAPSHOT  checksummed section container (persist/snapshot.h):
 //                   "meta"  version / kind / backend name / last covered seq
 //                   "docs"  every live document + next id   (index cores)
@@ -21,11 +23,14 @@
 // frames behind the new snapshot, which the seq skip rule ignores, so every
 // crash point lands on a batch-prefix-consistent state.
 //
-// Logging is linearized with the batch: the facade encodes the payload
-// before applying (the apply may consume its input), applies inside the
-// exclusive section, and appends the frame before the section ends — a batch
-// that throws logs nothing, and no reader-visible state ever leads the log
-// by more than the current unsynced group-commit window.
+// Logging is linearized with the batch. The facade encodes the payload
+// before applying (the apply may consume its input), then: apply -> append
+// the frame, both inside the exclusive section -> the section ends -> fsync
+// (group commit) -> the writer's call returns. A batch that throws logs
+// nothing; log order is epoch order; a reader may see a batch whose fsync
+// is still in flight, but never waits for it, and no reader-visible state
+// leads the log by more than the batches whose fsync is in flight plus the
+// unsynced group-commit window.
 #ifndef DYNDEX_SERVE_PERSISTENCE_H_
 #define DYNDEX_SERVE_PERSISTENCE_H_
 
@@ -132,16 +137,17 @@ persist::Status DecodePairs(std::string_view data, RelationPairs* out);
 // --- the per-core durable handle ------------------------------------------
 
 /// Owns one directory's WAL writer, the logged-batch sequence, the
-/// group-commit countdown, and the sticky failure status. Writer-thread-only
-/// after open (same discipline as the facade mutations it rides along with).
+/// group-commit countdown, and the sticky failure status. One writer at a
+/// time after open: the facade holds the shard's writer mutex around the
+/// append (inside the exclusive section) and the sync (after it).
 ///
 /// The single-writer contract is machine-checked as a *role capability*
 /// (util/sync.h ThreadRole): the mutable state is GUARDED_BY(writer_role_)
 /// and every mutating entry point REQUIRES it, so a call from a path that
 /// never established the role (via writer_role().AssertHeld(), a runtime
 /// no-op) is a compile error under -Wthread-safety. The facades assert the
-/// role inside their exclusive-writer sections — including inside Write()
-/// lambdas, which the analysis treats as separate functions.
+/// role under the shard's writer mutex — including inside Write() lambdas,
+/// which the analysis treats as separate functions.
 ///
 /// Failure model is fail-stop for the log: once an append or sync fails, the
 /// status sticks, further appends are dropped, and every durability
@@ -168,6 +174,7 @@ class DurableLog {
   void LogApplied(std::string_view payload) DYNDEX_REQUIRES(writer_role_);
 
   /// Group commit: syncs when the unsynced batch count reaches the window.
+  /// Called after the exclusive section ends, so readers never wait on it.
   persist::Status MaybeSync() DYNDEX_REQUIRES(writer_role_);
   /// Unconditional sync of everything logged so far.
   persist::Status Sync() DYNDEX_REQUIRES(writer_role_);
@@ -222,9 +229,8 @@ class DurableLog {
 
 // --- core-level open / fold / checkpoint ----------------------------------
 //
-// These operate on the EpochGuard cores directly so the single-core facades
-// (ConcurrentIndex / ConcurrentRelation) and the per-shard loops of the
-// sharded facades share one recovery implementation. Preconditions: the core
+// These operate on one EpochGuard core; serve/shard_core.h calls them once
+// per shard, overloaded on the backend type. Preconditions: the core
 // is fresh (empty, epoch 0) and externally quiesced — recovery IS the
 // writer. The snapshot and the frame tail are folded into one final state
 // first: documents mint ids by the rule every backend shares (each document
@@ -236,29 +242,28 @@ class DurableLog {
 // batches: the epoch after open counts exactly the batches logged on top of
 // the snapshot, as if each had been applied.
 
-persist::Status OpenDurableIndexCore(persist::Env* env, const std::string& dir,
-                                     const DurableOptions& opt,
-                                     EpochGuard<DynamicIndex>& core,
-                                     std::unique_ptr<DurableLog>* out,
-                                     RecoveryStats* stats);
+persist::Status OpenDurableCore(persist::Env* env, const std::string& dir,
+                                const DurableOptions& opt,
+                                EpochGuard<DynamicIndex>& core,
+                                std::unique_ptr<DurableLog>* out,
+                                RecoveryStats* stats);
 
-persist::Status CheckpointIndexCore(EpochGuard<DynamicIndex>& core,
-                                    DurableLog& log);
+persist::Status CheckpointCore(EpochGuard<DynamicIndex>& core,
+                               DurableLog& log);
 
-persist::Status OpenDurableRelationCore(persist::Env* env,
-                                        const std::string& dir,
-                                        const DurableOptions& opt,
-                                        EpochGuard<RelationIndex>& core,
-                                        std::unique_ptr<DurableLog>* out,
-                                        RecoveryStats* stats);
+persist::Status OpenDurableCore(persist::Env* env, const std::string& dir,
+                                const DurableOptions& opt,
+                                EpochGuard<RelationIndex>& core,
+                                std::unique_ptr<DurableLog>* out,
+                                RecoveryStats* stats);
 
-persist::Status CheckpointRelationCore(EpochGuard<RelationIndex>& core,
-                                       DurableLog& log);
+persist::Status CheckpointCore(EpochGuard<RelationIndex>& core,
+                               DurableLog& log);
 
 // --- sharded manifest ------------------------------------------------------
 //
-// The sharded facades bind their shard set with one more snapshot container
-// (a single meta section) at <dir>/MANIFEST. The manifest is written on the
+// The facades bind their shard set with one more snapshot container (a
+// single meta section) at <dir>/MANIFEST. The manifest is written on the
 // first durable open, before any shard logs a batch; on reopen a kind /
 // shard-count / backend mismatch is refused loudly, and every bound shard
 // directory must still hold its log — a vanished shard is kCorruption, not

@@ -3,21 +3,13 @@
 #include <string>
 #include <utility>
 
-#include "util/check.h"
-
 namespace dyndex {
 
 ShardedIndex::ShardedIndex(
     uint32_t num_shards,
     const std::function<std::unique_ptr<DynamicIndex>()>& shard_factory)
-    : pool_(num_shards > 0 ? num_shards - 1 : 0) {
-  DYNDEX_CHECK(num_shards >= 1);
-  shards_.reserve(num_shards);
-  for (uint32_t s = 0; s < num_shards; ++s) {
-    shards_.push_back(
-        std::make_unique<EpochGuard<DynamicIndex>>(shard_factory()));
-  }
-}
+    : ShardCore(num_shards, shard_factory,
+                serve_persist::StateKind::kShardedIndex) {}
 
 ShardedIndex::ShardedIndex(uint32_t num_shards, Backend backend,
                            const DynamicIndexOptions& opt)
@@ -26,44 +18,40 @@ ShardedIndex::ShardedIndex(uint32_t num_shards, Backend backend,
 
 uint64_t ShardedIndex::Count(const std::vector<Symbol>& pattern,
                              ShardEpochs* epochs) const {
-  return shard_internal::SumOf(shard_internal::FanOutRead<uint64_t>(
-      pool_, num_shards(), epochs, [&](uint32_t s, uint64_t* epoch) {
-        return shards_[s]->Read(epoch, [&](const DynamicIndex& idx) {
-          return idx.Count(pattern);
-        });
+  return shard_internal::SumOf(FanOutRead<uint64_t>(
+      epochs, [&](uint32_t, const DynamicIndex& idx) {
+        return idx.Count(pattern);
       }));
 }
 
 std::vector<Occurrence> ShardedIndex::Locate(
     const std::vector<Symbol>& pattern, ShardEpochs* epochs) const {
   const uint32_t k = num_shards();
-  return shard_internal::Flatten(
-      shard_internal::FanOutRead<std::vector<Occurrence>>(
-          pool_, k, epochs, [&](uint32_t s, uint64_t* epoch) {
-            std::vector<Occurrence> occs =
-                shards_[s]->Read(epoch, [&](const DynamicIndex& idx) {
-                  return idx.Locate(pattern);
-                });
-            // Shard-local ids -> global ids.
-            for (Occurrence& occ : occs) occ.doc = occ.doc * k + s;
-            return occs;
-          }));
+  return shard_internal::Flatten(FanOutRead<std::vector<Occurrence>>(
+      epochs, [&](uint32_t s, const DynamicIndex& idx) {
+        std::vector<Occurrence> occs = idx.Locate(pattern);
+        // Shard-local ids -> global ids.
+        for (Occurrence& occ : occs) occ.doc = occ.doc * k + s;
+        return occs;
+      }));
+}
+
+bool ShardedIndex::Invalid(DocId id, uint64_t* epoch) const {
+  if (id != kInvalidDocId) return false;
+  if (epoch != nullptr) *epoch = epochs()[0];
+  return true;
 }
 
 bool ShardedIndex::Extract(DocId id, uint64_t from, uint64_t len,
                            std::vector<Symbol>* out, uint64_t* epoch) const {
-  if (id == kInvalidDocId) {
-    if (epoch != nullptr) *epoch = shards_[0]->epoch();
-    return false;
-  }
-  const uint32_t s = shard_of(id);
+  if (Invalid(id, epoch)) return false;
   const DocId local = id / num_shards();
   // Buffer into the lambda's return value, never into *out directly: a
   // discarded optimistic attempt re-runs the lambda, and the contract is
   // that *out stays untouched on false (and on any abandoned attempt).
-  auto result =
-      shards_[s]->Read(epoch, [&](const DynamicIndex& idx)
-                                  -> std::pair<bool, std::vector<Symbol>> {
+  auto result = ReadShard(
+      shard_of(id), epoch,
+      [&](const DynamicIndex& idx) -> std::pair<bool, std::vector<Symbol>> {
         if (!idx.Contains(local)) return {false, {}};
         return {true, idx.Extract(local, from, len)};
       });
@@ -73,94 +61,31 @@ bool ShardedIndex::Extract(DocId id, uint64_t from, uint64_t len,
 }
 
 bool ShardedIndex::Contains(DocId id, uint64_t* epoch) const {
-  if (id == kInvalidDocId) {
-    if (epoch != nullptr) *epoch = shards_[0]->epoch();
-    return false;
-  }
-  const uint32_t s = shard_of(id);
+  if (Invalid(id, epoch)) return false;
   const DocId local = id / num_shards();
-  return shards_[s]->Read(
-      epoch, [&](const DynamicIndex& idx) { return idx.Contains(local); });
+  return ReadShard(shard_of(id), epoch, [&](const DynamicIndex& idx) {
+    return idx.Contains(local);
+  });
 }
 
 uint64_t ShardedIndex::DocLenOf(DocId id, uint64_t* epoch) const {
-  if (id == kInvalidDocId) {
-    if (epoch != nullptr) *epoch = shards_[0]->epoch();
-    return 0;
-  }
-  const uint32_t s = shard_of(id);
+  if (Invalid(id, epoch)) return 0;
   const DocId local = id / num_shards();
-  return shards_[s]->Read(
-      epoch, [&](const DynamicIndex& idx) { return idx.DocLenOf(local); });
+  return ReadShard(shard_of(id), epoch, [&](const DynamicIndex& idx) {
+    return idx.DocLenOf(local);
+  });
 }
 
 uint64_t ShardedIndex::num_docs(ShardEpochs* epochs) const {
-  return shard_internal::SumOf(shard_internal::FanOutRead<uint64_t>(
-      pool_, num_shards(), epochs, [&](uint32_t s, uint64_t* epoch) {
-        return shards_[s]->Read(
-            epoch, [](const DynamicIndex& idx) { return idx.num_docs(); });
-      }));
+  return shard_internal::SumOf(FanOutRead<uint64_t>(
+      epochs,
+      [](uint32_t, const DynamicIndex& idx) { return idx.num_docs(); }));
 }
 
 uint64_t ShardedIndex::live_symbols(ShardEpochs* epochs) const {
-  return shard_internal::SumOf(shard_internal::FanOutRead<uint64_t>(
-      pool_, num_shards(), epochs, [&](uint32_t s, uint64_t* epoch) {
-        return shards_[s]->Read(epoch, [](const DynamicIndex& idx) {
-          return idx.live_symbols();
-        });
-      }));
-}
-
-ShardEpochs ShardedIndex::epochs() const {
-  ShardEpochs eps(num_shards(), 0);
-  for (uint32_t s = 0; s < num_shards(); ++s) eps[s] = shards_[s]->epoch();
-  return eps;
-}
-
-ShardSeqs ShardedIndex::seqs() const {
-  ShardSeqs sq(num_shards(), 0);
-  for (uint32_t s = 0; s < num_shards(); ++s) sq[s] = shards_[s]->sequence();
-  return sq;
-}
-
-void ShardedIndex::set_optimistic_policy(const OptimisticPolicy& policy) {
-  for (auto& shard : shards_) shard->set_optimistic_policy(policy);
-}
-
-OptimisticStats ShardedIndex::optimistic_stats() const {
-  OptimisticStats total;
-  for (const auto& shard : shards_) {
-    const OptimisticStats s = shard->optimistic_stats();
-    total.attempts += s.attempts;
-    total.validated += s.validated;
-    total.retries += s.retries;
-    total.fallbacks += s.fallbacks;
-    total.capture_exhausted += s.capture_exhausted;
-    total.retries_exhausted += s.retries_exhausted;
-    total.capture_stalled += s.capture_stalled;
-    total.locked_reads += s.locked_reads;
-  }
-  return total;
-}
-
-void ShardedIndex::set_pacing_policy(const PacingPolicy& policy) {
-  for (auto& shard : shards_) shard->set_pacing_policy(policy);
-}
-
-PacingStats ShardedIndex::pacing_stats() const {
-  PacingStats total;
-  for (const auto& shard : shards_) {
-    const PacingStats s = shard->pacing_stats();
-    total.waits += s.waits;
-    total.wait_us += s.wait_us;
-  }
-  return total;
-}
-
-uint64_t ShardedIndex::retired_pending() const {
-  uint64_t total = 0;
-  for (const auto& shard : shards_) total += shard->retired_pending();
-  return total;
+  return shard_internal::SumOf(FanOutRead<uint64_t>(
+      epochs,
+      [](uint32_t, const DynamicIndex& idx) { return idx.live_symbols(); }));
 }
 
 std::vector<DocId> ShardedIndex::InsertBatch(
@@ -179,36 +104,19 @@ std::vector<DocId> ShardedIndex::InsertBatch(
     sub[s].push_back(std::move(docs[i]));
     positions[s].push_back(i);
   }
-  std::vector<std::function<void()>> tasks;
+  // One virtual call per shard: cold-start backends with a bulk constructor
+  // load the sub-batch in one pass instead of one insertion per document.
+  std::vector<std::vector<DocId>> local = WriteShards<std::vector<DocId>>(
+      sub, serve_persist::EncodeInsertBatch,
+      [](DynamicIndex& idx, std::vector<std::vector<Symbol>>& batch) {
+        return idx.InsertBulk(std::move(batch));
+      });
   for (uint32_t s = 0; s < k; ++s) {
-    if (sub[s].empty()) continue;  // untouched shards keep their epoch
-    tasks.push_back([this, s, k, &sub, &positions, &out] {
-      // Each shard logs its own sub-batch; encode before the apply consumes
-      // it. The append and the group-commit fsync run inside the shard's
-      // exclusive section, so concurrent batch writers never share a WAL.
-      std::string payload;
-      serve_persist::DurableLog* log = logs_.empty() ? nullptr : logs_[s].get();
-      if (log != nullptr) payload = serve_persist::EncodeInsertBatch(sub[s]);
-      std::vector<DocId> local =
-          shards_[s]->Write([&](DynamicIndex& idx) {
-            auto result = idx.InsertBulk(std::move(sub[s]));
-            if (log != nullptr) {
-              // Inside this shard's exclusive section: the pool worker is
-              // the shard log's writer for the batch.
-              log->writer_role().AssertHeld();
-              log->LogApplied(payload);
-              log->MaybeSync();
-            }
-            return result;
-          });
-      // Distinct batch positions per shard: no write races on `out`.
-      for (uint64_t j = 0; j < local.size(); ++j) {
-        out[positions[s][j]] =
-            local[j] == kInvalidDocId ? kInvalidDocId : local[j] * k + s;
-      }
-    });
+    for (uint64_t j = 0; j < local[s].size(); ++j) {
+      out[positions[s][j]] =
+          local[s][j] == kInvalidDocId ? kInvalidDocId : local[s][j] * k + s;
+    }
   }
-  pool_.RunAll(std::move(tasks));
   return out;
 }
 
@@ -219,169 +127,24 @@ uint64_t ShardedIndex::EraseBatch(const std::vector<DocId>& ids) {
     if (id == kInvalidDocId) continue;
     sub[shard_of(id)].push_back(id / k);
   }
-  std::vector<uint64_t> erased(k, 0);
-  std::vector<std::function<void()>> tasks;
-  for (uint32_t s = 0; s < k; ++s) {
-    if (sub[s].empty()) continue;
-    tasks.push_back([this, s, &sub, &erased] {
-      std::string payload;
-      serve_persist::DurableLog* log = logs_.empty() ? nullptr : logs_[s].get();
-      if (log != nullptr) payload = serve_persist::EncodeEraseBatch(sub[s]);
-      erased[s] = shards_[s]->Write([&](DynamicIndex& idx) {
+  return shard_internal::SumOf(WriteShards<uint64_t>(
+      sub, serve_persist::EncodeEraseBatch,
+      [](DynamicIndex& idx, std::vector<DocId>& batch) {
         uint64_t n = 0;
-        for (DocId local : sub[s]) n += idx.Erase(local);
-        if (log != nullptr) {
-          log->writer_role().AssertHeld();
-          log->LogApplied(payload);
-          log->MaybeSync();
-        }
+        for (DocId local : batch) n += idx.Erase(local);
         return n;
-      });
-    });
-  }
-  pool_.RunAll(std::move(tasks));
-  uint64_t total = 0;
-  for (uint64_t e : erased) total += e;
-  return total;
-}
-
-void ShardedIndex::Poll() {
-  for (auto& shard : shards_) {
-    shard->Maintain([](DynamicIndex& idx) { idx.PollPending(); });
-  }
-}
-
-void ShardedIndex::Flush() {
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(shards_.size());
-  for (auto& shard : shards_) {
-    tasks.push_back([&shard] {
-      shard->Maintain([](DynamicIndex& idx) { idx.ForceAllPending(); });
-    });
-  }
-  pool_.RunAll(std::move(tasks));
+      }));
 }
 
 persist::Status ShardedIndex::OpenDurable(persist::Env* env,
                                           const std::string& dir,
                                           const DurableOptions& opt,
                                           RecoveryStats* stats) {
-  DYNDEX_CHECK(logs_.empty());
-  const uint32_t k = num_shards();
-  DYNDEX_RETURN_IF_ERROR(env->CreateDir(dir));
-
-  serve_persist::SnapshotMeta manifest;
-  persist::Status ms = serve_persist::ReadManifest(env, dir, &manifest);
-  const bool fresh = ms.IsNotFound();
-  if (!fresh) {
-    DYNDEX_RETURN_IF_ERROR(ms);  // a damaged manifest is loud, not "fresh"
-    DYNDEX_RETURN_IF_ERROR(serve_persist::CheckManifest(
-        manifest, serve_persist::StateKind::kShardedIndex, k, backend_name()));
-  }
-
-  std::vector<std::string> shard_dirs(k);
-  for (uint32_t s = 0; s < k; ++s) {
-    shard_dirs[s] = dir + "/shard-" + std::to_string(s);
-    if (!fresh && !env->FileExists(shard_dirs[s] + "/" +
-                                   serve_persist::kWalFileName)) {
-      // The manifest binds this shard; its vanished state must not be served
-      // as an empty shard.
-      return persist::Status::Corruption(
-          "manifest binds shard " + std::to_string(s) +
-          " but its durable state is missing");
-    }
-  }
-
-  // Parallel recovery: shards are independent (own dir, own core, own log).
-  std::vector<std::unique_ptr<serve_persist::DurableLog>> logs(k);
-  std::vector<persist::Status> st(k);
-  std::vector<RecoveryStats> shard_stats(k);
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(k);
-  for (uint32_t s = 0; s < k; ++s) {
-    tasks.push_back([this, s, env, &opt, &shard_dirs, &logs, &st,
-                     &shard_stats] {
-      st[s] = serve_persist::OpenDurableIndexCore(
-          env, shard_dirs[s], opt, *shards_[s], &logs[s], &shard_stats[s]);
-    });
-  }
-  pool_.RunAll(std::move(tasks));
-  for (uint32_t s = 0; s < k; ++s) DYNDEX_RETURN_IF_ERROR(st[s]);
-
-  if (fresh) {
-    serve_persist::SnapshotMeta meta;
-    meta.kind = serve_persist::StateKind::kShardedIndex;
-    meta.backend = backend_name();
-    meta.num_shards = k;
-    DYNDEX_RETURN_IF_ERROR(serve_persist::WriteManifest(env, dir, meta));
-  }
-
-  if (stats != nullptr) {
-    RecoveryStats total;
-    for (const RecoveryStats& s : shard_stats) {
-      total.snapshot_loaded |= s.snapshot_loaded;
-      total.snapshot_seq += s.snapshot_seq;
-      total.replayed_batches += s.replayed_batches;
-      total.skipped_frames += s.skipped_frames;
-      total.dropped_wal_bytes += s.dropped_wal_bytes;
-    }
-    *stats = total;
-  }
+  DYNDEX_RETURN_IF_ERROR(ShardCore::OpenDurable(env, dir, opt, stats));
   // Placement cursor: balance-only (ids are minted by the shards), so any
   // reasonable restart point works; total live docs keeps round-robin fair.
-  uint64_t total_docs = 0;
-  for (uint32_t s = 0; s < k; ++s) {
-    total_docs += shards_[s]->unsynchronized().num_docs();
-  }
-  next_place_.store(total_docs, std::memory_order_relaxed);
-  logs_ = std::move(logs);
+  next_place_.store(num_docs(), std::memory_order_relaxed);
   return persist::Status::Ok();
-}
-
-persist::Status ShardedIndex::Checkpoint() {
-  DYNDEX_CHECK(!logs_.empty());
-  const uint32_t k = num_shards();
-  std::vector<persist::Status> st(k);
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(k);
-  for (uint32_t s = 0; s < k; ++s) {
-    tasks.push_back([this, s, &st] {
-      st[s] = serve_persist::CheckpointIndexCore(*shards_[s], *logs_[s]);
-    });
-  }
-  pool_.RunAll(std::move(tasks));
-  for (uint32_t s = 0; s < k; ++s) DYNDEX_RETURN_IF_ERROR(st[s]);
-  return persist::Status::Ok();
-}
-
-persist::Status ShardedIndex::SyncWal() {
-  DYNDEX_CHECK(!logs_.empty());
-  // Durability entry points run quiesced (no concurrent batch writers), so
-  // this thread holds every shard log's writer role.
-  for (auto& log : logs_) {
-    log->writer_role().AssertHeld();
-    DYNDEX_RETURN_IF_ERROR(log->Sync());
-  }
-  return persist::Status::Ok();
-}
-
-persist::Status ShardedIndex::CloseDurable() {
-  DYNDEX_CHECK(!logs_.empty());
-  persist::Status first = persist::Status::Ok();
-  for (auto& log : logs_) {
-    log->writer_role().AssertHeld();
-    persist::Status s = log->Close();
-    if (first.ok()) first = s;
-  }
-  logs_.clear();
-  return first;
-}
-
-void ShardedIndex::CheckInvariants() const {
-  for (const auto& shard : shards_) {
-    shard->Read(nullptr,
-                [](const DynamicIndex& idx) { idx.CheckInvariants(); });
-  }
 }
 
 }  // namespace dyndex

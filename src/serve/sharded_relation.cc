@@ -3,8 +3,6 @@
 #include <string>
 #include <utility>
 
-#include "util/check.h"
-
 namespace dyndex {
 
 namespace {
@@ -23,14 +21,8 @@ uint64_t MixId(uint64_t x) {
 ShardedRelation::ShardedRelation(
     uint32_t num_shards,
     const std::function<std::unique_ptr<RelationIndex>()>& shard_factory)
-    : pool_(num_shards > 0 ? num_shards - 1 : 0) {
-  DYNDEX_CHECK(num_shards >= 1);
-  shards_.reserve(num_shards);
-  for (uint32_t s = 0; s < num_shards; ++s) {
-    shards_.push_back(
-        std::make_unique<EpochGuard<RelationIndex>>(shard_factory()));
-  }
-}
+    : ShardCore(num_shards, shard_factory,
+                serve_persist::StateKind::kShardedRelation) {}
 
 ShardedRelation::ShardedRelation(uint32_t num_shards, RelationBackend backend,
                                  const RelationIndexOptions& opt)
@@ -38,294 +30,81 @@ ShardedRelation::ShardedRelation(uint32_t num_shards, RelationBackend backend,
                       [&] { return MakeRelationIndex(backend, opt); }) {}
 
 uint32_t ShardedRelation::shard_of_object(uint32_t object) const {
-  return static_cast<uint32_t>(MixId(object) % shards_.size());
+  return static_cast<uint32_t>(MixId(object) % num_shards());
 }
 
 bool ShardedRelation::Related(uint32_t object, uint32_t label,
                               uint64_t* epoch) const {
-  return shards_[shard_of_object(object)]->Read(
-      epoch,
-      [&](const RelationIndex& rel) { return rel.Related(object, label); });
+  return ReadShard(shard_of_object(object), epoch,
+                   [&](const RelationIndex& rel) {
+                     return rel.Related(object, label);
+                   });
 }
 
 std::vector<uint32_t> ShardedRelation::LabelsOf(uint32_t object,
                                                 uint64_t* epoch) const {
-  return shards_[shard_of_object(object)]->Read(
-      epoch, [&](const RelationIndex& rel) { return rel.LabelsOf(object); });
+  return ReadShard(
+      shard_of_object(object), epoch,
+      [&](const RelationIndex& rel) { return rel.LabelsOf(object); });
 }
 
 uint64_t ShardedRelation::CountLabelsOf(uint32_t object,
                                         uint64_t* epoch) const {
-  return shards_[shard_of_object(object)]->Read(
-      epoch,
+  return ReadShard(
+      shard_of_object(object), epoch,
       [&](const RelationIndex& rel) { return rel.CountLabelsOf(object); });
 }
 
 std::vector<uint32_t> ShardedRelation::ObjectsOf(uint32_t label,
                                                  ShardEpochs* epochs) const {
-  return shard_internal::Flatten(
-      shard_internal::FanOutRead<std::vector<uint32_t>>(
-          pool_, num_shards(), epochs, [&](uint32_t s, uint64_t* epoch) {
-            return shards_[s]->Read(epoch, [&](const RelationIndex& rel) {
-              return rel.ObjectsOf(label);
-            });
-          }));
+  return shard_internal::Flatten(FanOutRead<std::vector<uint32_t>>(
+      epochs, [&](uint32_t, const RelationIndex& rel) {
+        return rel.ObjectsOf(label);
+      }));
 }
 
 uint64_t ShardedRelation::CountObjectsOf(uint32_t label,
                                          ShardEpochs* epochs) const {
-  return shard_internal::SumOf(shard_internal::FanOutRead<uint64_t>(
-      pool_, num_shards(), epochs, [&](uint32_t s, uint64_t* epoch) {
-        return shards_[s]->Read(epoch, [&](const RelationIndex& rel) {
-          return rel.CountObjectsOf(label);
-        });
+  return shard_internal::SumOf(FanOutRead<uint64_t>(
+      epochs, [&](uint32_t, const RelationIndex& rel) {
+        return rel.CountObjectsOf(label);
       }));
 }
 
 uint64_t ShardedRelation::num_pairs(ShardEpochs* epochs) const {
-  return shard_internal::SumOf(shard_internal::FanOutRead<uint64_t>(
-      pool_, num_shards(), epochs, [&](uint32_t s, uint64_t* epoch) {
-        return shards_[s]->Read(
-            epoch, [](const RelationIndex& rel) { return rel.num_pairs(); });
-      }));
-}
-
-ShardEpochs ShardedRelation::epochs() const {
-  ShardEpochs eps(num_shards(), 0);
-  for (uint32_t s = 0; s < num_shards(); ++s) eps[s] = shards_[s]->epoch();
-  return eps;
-}
-
-ShardSeqs ShardedRelation::seqs() const {
-  ShardSeqs sq(num_shards(), 0);
-  for (uint32_t s = 0; s < num_shards(); ++s) sq[s] = shards_[s]->sequence();
-  return sq;
-}
-
-void ShardedRelation::set_optimistic_policy(const OptimisticPolicy& policy) {
-  for (auto& shard : shards_) shard->set_optimistic_policy(policy);
-}
-
-OptimisticStats ShardedRelation::optimistic_stats() const {
-  OptimisticStats total;
-  for (const auto& shard : shards_) {
-    const OptimisticStats s = shard->optimistic_stats();
-    total.attempts += s.attempts;
-    total.validated += s.validated;
-    total.retries += s.retries;
-    total.fallbacks += s.fallbacks;
-    total.capture_exhausted += s.capture_exhausted;
-    total.retries_exhausted += s.retries_exhausted;
-    total.capture_stalled += s.capture_stalled;
-    total.locked_reads += s.locked_reads;
-  }
-  return total;
-}
-
-void ShardedRelation::set_pacing_policy(const PacingPolicy& policy) {
-  for (auto& shard : shards_) shard->set_pacing_policy(policy);
-}
-
-PacingStats ShardedRelation::pacing_stats() const {
-  PacingStats total;
-  for (const auto& shard : shards_) {
-    const PacingStats s = shard->pacing_stats();
-    total.waits += s.waits;
-    total.wait_us += s.wait_us;
-  }
-  return total;
-}
-
-uint64_t ShardedRelation::retired_pending() const {
-  uint64_t total = 0;
-  for (const auto& shard : shards_) total += shard->retired_pending();
-  return total;
+  return shard_internal::SumOf(FanOutRead<uint64_t>(
+      epochs,
+      [](uint32_t, const RelationIndex& rel) { return rel.num_pairs(); }));
 }
 
 uint64_t ShardedRelation::AddPairsBatch(const RelationPairs& pairs) {
-  const uint32_t k = num_shards();
-  std::vector<RelationPairs> sub(k);
+  std::vector<RelationPairs> sub(num_shards());
   for (auto [o, a] : pairs) sub[shard_of_object(o)].push_back({o, a});
-  std::vector<uint64_t> added(k, 0);
-  std::vector<std::function<void()>> tasks;
-  for (uint32_t s = 0; s < k; ++s) {
-    if (sub[s].empty()) continue;  // untouched shards keep their epoch
-    tasks.push_back([this, s, &sub, &added] {
-      // Each shard logs its own sub-batch; the append and the group-commit
-      // fsync run inside the shard's exclusive section, so concurrent batch
-      // writers never share a WAL.
-      std::string payload;
-      serve_persist::DurableLog* log = logs_.empty() ? nullptr : logs_[s].get();
-      if (log != nullptr) {
-        payload = serve_persist::EncodePairsBatch(
-            serve_persist::WalOp::kAddPairs, sub[s]);
-      }
-      added[s] = shards_[s]->Write([&](RelationIndex& rel) {
-        uint64_t n = rel.AddPairsBulk(sub[s]);
-        if (log != nullptr) {
-          // Inside this shard's exclusive section: the pool worker is the
-          // shard log's writer for the batch.
-          log->writer_role().AssertHeld();
-          log->LogApplied(payload);
-          log->MaybeSync();
-        }
-        return n;
-      });
-    });
-  }
-  pool_.RunAll(std::move(tasks));
-  uint64_t total = 0;
-  for (uint64_t a : added) total += a;
-  return total;
+  return shard_internal::SumOf(WriteShards<uint64_t>(
+      sub,
+      [](const RelationPairs& batch) {
+        return serve_persist::EncodePairsBatch(
+            serve_persist::WalOp::kAddPairs, batch);
+      },
+      [](RelationIndex& rel, RelationPairs& batch) {
+        return rel.AddPairsBulk(batch);
+      }));
 }
 
 uint64_t ShardedRelation::RemovePairsBatch(const RelationPairs& pairs) {
-  const uint32_t k = num_shards();
-  std::vector<RelationPairs> sub(k);
+  std::vector<RelationPairs> sub(num_shards());
   for (auto [o, a] : pairs) sub[shard_of_object(o)].push_back({o, a});
-  std::vector<uint64_t> removed(k, 0);
-  std::vector<std::function<void()>> tasks;
-  for (uint32_t s = 0; s < k; ++s) {
-    if (sub[s].empty()) continue;
-    tasks.push_back([this, s, &sub, &removed] {
-      std::string payload;
-      serve_persist::DurableLog* log = logs_.empty() ? nullptr : logs_[s].get();
-      if (log != nullptr) {
-        payload = serve_persist::EncodePairsBatch(
-            serve_persist::WalOp::kRemovePairs, sub[s]);
-      }
-      removed[s] = shards_[s]->Write([&](RelationIndex& rel) {
+  return shard_internal::SumOf(WriteShards<uint64_t>(
+      sub,
+      [](const RelationPairs& batch) {
+        return serve_persist::EncodePairsBatch(
+            serve_persist::WalOp::kRemovePairs, batch);
+      },
+      [](RelationIndex& rel, RelationPairs& batch) {
         uint64_t n = 0;
-        for (auto [o, a] : sub[s]) n += rel.RemovePair(o, a);
-        if (log != nullptr) {
-          log->writer_role().AssertHeld();
-          log->LogApplied(payload);
-          log->MaybeSync();
-        }
+        for (auto [o, a] : batch) n += rel.RemovePair(o, a);
         return n;
-      });
-    });
-  }
-  pool_.RunAll(std::move(tasks));
-  uint64_t total = 0;
-  for (uint64_t r : removed) total += r;
-  return total;
-}
-
-persist::Status ShardedRelation::OpenDurable(persist::Env* env,
-                                             const std::string& dir,
-                                             const DurableOptions& opt,
-                                             RecoveryStats* stats) {
-  DYNDEX_CHECK(logs_.empty());
-  const uint32_t k = num_shards();
-  DYNDEX_RETURN_IF_ERROR(env->CreateDir(dir));
-
-  serve_persist::SnapshotMeta manifest;
-  persist::Status ms = serve_persist::ReadManifest(env, dir, &manifest);
-  const bool fresh = ms.IsNotFound();
-  if (!fresh) {
-    DYNDEX_RETURN_IF_ERROR(ms);  // a damaged manifest is loud, not "fresh"
-    DYNDEX_RETURN_IF_ERROR(serve_persist::CheckManifest(
-        manifest, serve_persist::StateKind::kShardedRelation, k,
-        backend_name()));
-  }
-
-  std::vector<std::string> shard_dirs(k);
-  for (uint32_t s = 0; s < k; ++s) {
-    shard_dirs[s] = dir + "/shard-" + std::to_string(s);
-    if (!fresh && !env->FileExists(shard_dirs[s] + "/" +
-                                   serve_persist::kWalFileName)) {
-      // The manifest binds this shard; its vanished state must not be served
-      // as an empty shard.
-      return persist::Status::Corruption(
-          "manifest binds shard " + std::to_string(s) +
-          " but its durable state is missing");
-    }
-  }
-
-  // Parallel recovery: shards are independent (own dir, own core, own log).
-  std::vector<std::unique_ptr<serve_persist::DurableLog>> logs(k);
-  std::vector<persist::Status> st(k);
-  std::vector<RecoveryStats> shard_stats(k);
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(k);
-  for (uint32_t s = 0; s < k; ++s) {
-    tasks.push_back([this, s, env, &opt, &shard_dirs, &logs, &st,
-                     &shard_stats] {
-      st[s] = serve_persist::OpenDurableRelationCore(
-          env, shard_dirs[s], opt, *shards_[s], &logs[s], &shard_stats[s]);
-    });
-  }
-  pool_.RunAll(std::move(tasks));
-  for (uint32_t s = 0; s < k; ++s) DYNDEX_RETURN_IF_ERROR(st[s]);
-
-  if (fresh) {
-    serve_persist::SnapshotMeta meta;
-    meta.kind = serve_persist::StateKind::kShardedRelation;
-    meta.backend = backend_name();
-    meta.num_shards = k;
-    DYNDEX_RETURN_IF_ERROR(serve_persist::WriteManifest(env, dir, meta));
-  }
-
-  if (stats != nullptr) {
-    RecoveryStats total;
-    for (const RecoveryStats& s : shard_stats) {
-      total.snapshot_loaded |= s.snapshot_loaded;
-      total.snapshot_seq += s.snapshot_seq;
-      total.replayed_batches += s.replayed_batches;
-      total.skipped_frames += s.skipped_frames;
-      total.dropped_wal_bytes += s.dropped_wal_bytes;
-    }
-    *stats = total;
-  }
-  logs_ = std::move(logs);
-  return persist::Status::Ok();
-}
-
-persist::Status ShardedRelation::Checkpoint() {
-  DYNDEX_CHECK(!logs_.empty());
-  const uint32_t k = num_shards();
-  std::vector<persist::Status> st(k);
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(k);
-  for (uint32_t s = 0; s < k; ++s) {
-    tasks.push_back([this, s, &st] {
-      st[s] = serve_persist::CheckpointRelationCore(*shards_[s], *logs_[s]);
-    });
-  }
-  pool_.RunAll(std::move(tasks));
-  for (uint32_t s = 0; s < k; ++s) DYNDEX_RETURN_IF_ERROR(st[s]);
-  return persist::Status::Ok();
-}
-
-persist::Status ShardedRelation::SyncWal() {
-  DYNDEX_CHECK(!logs_.empty());
-  // Durability entry points run quiesced (no concurrent batch writers), so
-  // this thread holds every shard log's writer role.
-  for (auto& log : logs_) {
-    log->writer_role().AssertHeld();
-    DYNDEX_RETURN_IF_ERROR(log->Sync());
-  }
-  return persist::Status::Ok();
-}
-
-persist::Status ShardedRelation::CloseDurable() {
-  DYNDEX_CHECK(!logs_.empty());
-  persist::Status first = persist::Status::Ok();
-  for (auto& log : logs_) {
-    log->writer_role().AssertHeld();
-    persist::Status s = log->Close();
-    if (first.ok()) first = s;
-  }
-  logs_.clear();
-  return first;
-}
-
-void ShardedRelation::CheckInvariants() const {
-  for (const auto& shard : shards_) {
-    shard->Read(nullptr,
-                [](const RelationIndex& rel) { rel.CheckInvariants(); });
-  }
+      }));
 }
 
 }  // namespace dyndex

@@ -9,9 +9,9 @@
 #include <memory>
 #include <vector>
 
-#include "serve/concurrent_index.h"
 #include "serve/dynamic_index.h"
 #include "serve/relation_index.h"
+#include "serve/sharded_index.h"
 #include "text/concat_text.h"
 
 namespace dyndex {
@@ -131,8 +131,8 @@ TEST(FacadeHardening, UnstorableDocumentsAreRejectedOnEveryBackend) {
   }
 }
 
-TEST(FacadeHardening, ConcurrentIndexPassesDegenerateQueriesThrough) {
-  ConcurrentIndex index(MakeDynamicIndex(Backend::kT2, SmallDocOptions()));
+TEST(FacadeHardening, SingleCoreFacadePassesDegenerateQueriesThrough) {
+  ShardedIndex index(1, Backend::kT2, SmallDocOptions());
   EXPECT_EQ(index.Count({}), 0u);
   EXPECT_TRUE(index.Locate({}).empty());
   std::vector<Symbol> out;

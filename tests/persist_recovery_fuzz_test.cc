@@ -27,11 +27,11 @@
 #include "gtest/gtest.h"
 #include "persist/env.h"
 #include "persist/status.h"
-#include "serve/concurrent_index.h"
-#include "serve/concurrent_relation.h"
 #include "serve/dynamic_index.h"
 #include "serve/persistence.h"
 #include "serve/relation_index.h"
+#include "serve/sharded_index.h"
+#include "serve/sharded_relation.h"
 #include "util/rng.h"
 
 namespace dyndex {
@@ -60,22 +60,22 @@ bool Kill(MemEnv& env, Rng& rng, KillMode mode) {
   }
   env.SimulateCrash();
   uint64_t wal_size = 0, snap_size = 0;
-  const bool has_wal = env.GetFileSize("db/WAL", &wal_size).ok();
-  const bool has_snap = env.GetFileSize("db/SNAPSHOT", &snap_size).ok();
+  const bool has_wal = env.GetFileSize("db/shard-0/WAL", &wal_size).ok();
+  const bool has_snap = env.GetFileSize("db/shard-0/SNAPSHOT", &snap_size).ok();
   switch (mode) {
     case kTruncateWal:
       if (!has_wal || wal_size == 0) return false;
-      EXPECT_TRUE(env.TruncateFile("db/WAL", rng.Below(wal_size)).ok());
+      EXPECT_TRUE(env.TruncateFile("db/shard-0/WAL", rng.Below(wal_size)).ok());
       return true;  // may cut the 8-byte log header mid-way
     case kFlipWalBit:
       if (!has_wal || wal_size == 0) return false;
-      EXPECT_TRUE(env.CorruptByte("db/WAL", rng.Below(wal_size),
+      EXPECT_TRUE(env.CorruptByte("db/shard-0/WAL", rng.Below(wal_size),
                                   static_cast<uint8_t>(1u << rng.Below(8)))
                       .ok());
       return true;  // may hit the header magic
     case kFlipSnapBit:
       if (!has_snap || snap_size == 0) return false;  // no snapshot yet
-      EXPECT_TRUE(env.CorruptByte("db/SNAPSHOT", rng.Below(snap_size),
+      EXPECT_TRUE(env.CorruptByte("db/shard-0/SNAPSHOT", rng.Below(snap_size),
                                   static_cast<uint8_t>(1u << rng.Below(8)))
                       .ok());
       return true;  // every snapshot flip must be loud
@@ -92,7 +92,7 @@ std::vector<Symbol> RandomDoc(Rng& rng) {
   return doc;
 }
 
-void ExpectIndexMatches(ConcurrentIndex& index, const DocModel& model) {
+void ExpectIndexMatches(ShardedIndex& index, const DocModel& model) {
   ASSERT_EQ(index.num_docs(), model.size());
   for (const auto& [id, symbols] : model) {
     std::vector<Symbol> got;
@@ -116,7 +116,7 @@ void RunIndexSeed(uint64_t seed) {
   std::vector<DocModel> prefix = {model};
   const uint32_t batches = 6 + rng.Below(4);
   {
-    ConcurrentIndex index(MakeDynamicIndex(backend));
+    ShardedIndex index(1, backend);
     ASSERT_TRUE(index.OpenDurable(&env, "db", opt).ok());
     for (uint32_t b = 0; b < batches; ++b) {
       if (!model.empty() && rng.Chance(0.35)) {
@@ -145,7 +145,7 @@ void RunIndexSeed(uint64_t seed) {
   const KillMode mode = static_cast<KillMode>(rng.Below(kNumKillModes));
   const bool may_fail_loudly = Kill(env, rng, mode);
 
-  ConcurrentIndex recovered(MakeDynamicIndex(backend));
+  ShardedIndex recovered(1, backend);
   RecoveryStats stats;
   persist::Status s = recovered.OpenDurable(&env, "db", opt, &stats);
   if (s.ok()) {
@@ -164,7 +164,7 @@ void RunIndexSeed(uint64_t seed) {
   }
 }
 
-void ExpectRelationMatches(ConcurrentRelation& relation, const PairModel& model,
+void ExpectRelationMatches(ShardedRelation& relation, const PairModel& model,
                            const PairModel& universe) {
   ASSERT_EQ(relation.num_pairs(), model.size());
   for (const auto& [object, label] : universe) {
@@ -190,9 +190,10 @@ void RunRelationSeed(uint64_t seed) {
   std::vector<PairModel> prefix = {model};
   const uint32_t batches = 6 + rng.Below(4);
   {
-    ConcurrentRelation relation(MakeRelationIndex(backend));
+    ShardedRelation relation(1, backend);
     ASSERT_TRUE(relation.OpenDurable(&env, "db", opt).ok());
     for (uint32_t b = 0; b < batches; ++b) {
+      bool logged = true;
       if (!model.empty() && rng.Chance(0.35)) {
         RelationPairs dead;
         const uint32_t n = 1 + rng.Below(3);
@@ -210,11 +211,12 @@ void RunRelationSeed(uint64_t seed) {
           if (model.insert(p).second) fresh.push_back(p);
           universe.insert(p);
         }
-        // A batch whose pairs were all duplicates is empty; it still logs
-        // (one frame, one epoch bump) and its model prefix is unchanged.
+        // A batch whose pairs were all duplicates is empty; it touches no
+        // shard (no frame, no epoch bump), so it is no prefix either.
         ASSERT_EQ(relation.AddPairsBatch(fresh), fresh.size());
+        logged = !fresh.empty();
       }
-      prefix.push_back(model);
+      if (logged) prefix.push_back(model);
       if (rng.Chance(0.25)) {
         ASSERT_TRUE(relation.Checkpoint().ok());
       }
@@ -223,7 +225,7 @@ void RunRelationSeed(uint64_t seed) {
   const KillMode mode = static_cast<KillMode>(rng.Below(kNumKillModes));
   const bool may_fail_loudly = Kill(env, rng, mode);
 
-  ConcurrentRelation recovered(MakeRelationIndex(backend));
+  ShardedRelation recovered(1, backend);
   RecoveryStats stats;
   persist::Status s = recovered.OpenDurable(&env, "db", opt, &stats);
   if (s.ok()) {
@@ -231,7 +233,7 @@ void RunRelationSeed(uint64_t seed) {
     ASSERT_LT(p, prefix.size()) << "recovered past the last batch";
     ExpectRelationMatches(recovered, prefix[p], universe);
     if (mode == kPowerCut && opt.sync_every_batches == 1) {
-      ASSERT_EQ(p, batches);
+      ASSERT_EQ(p, prefix.size() - 1);
     }
   } else {
     ASSERT_TRUE(may_fail_loudly)

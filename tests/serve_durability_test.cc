@@ -1,24 +1,29 @@
-// Durability plumbing of the serving facades: ConcurrentIndex /
-// ConcurrentRelation and their sharded siblings bound to a MemEnv directory
-// — batch logging, checkpointing, crash-and-reopen recovery, the group-commit
-// window, and the loud-refusal paths (mismatched backend, mismatched shard
-// count, corrupt snapshot, vanished shard state). Recovery folds the log tail
-// into one state and builds it once; the Fold* tests pin that fold to what a
+// Durability plumbing of the serving facades: ShardedIndex / ShardedRelation
+// bound to a MemEnv directory, at K = 1 (the single-core case, state in
+// shard-0/) and at K > 1 — batch logging, checkpointing, crash-and-reopen
+// recovery, the group-commit window, the loud-refusal paths (mismatched
+// backend, mismatched shard count, corrupt snapshot, vanished shard state,
+// the single-core top-level layout), and the write order that keeps every
+// fsync outside the exclusive section. Recovery folds the log tail into one
+// state and builds it once; the Fold* tests pin that fold to what a
 // batch-by-batch replay would have served.
 
+#include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "persist/env.h"
+#include "persist/snapshot.h"
 #include "persist/status.h"
 #include "persist/wal.h"
-#include "serve/concurrent_index.h"
-#include "serve/concurrent_relation.h"
 #include "serve/dynamic_index.h"
 #include "serve/persistence.h"
 #include "serve/relation_index.h"
@@ -59,7 +64,8 @@ void ExpectServes(Facade& facade,
 void AppendBadTail(MemEnv& env, uint64_t last_seq, bool gap,
                    const std::string& good_payload) {
   std::unique_ptr<persist::WalWriter> wal;
-  ASSERT_TRUE(persist::WalWriter::OpenForAppend(&env, "db/WAL", &wal).ok());
+  ASSERT_TRUE(
+      persist::WalWriter::OpenForAppend(&env, "db/shard-0/WAL", &wal).ok());
   if (gap) {
     ASSERT_TRUE(wal->Append(last_seq + 2, good_payload).ok());
   } else {
@@ -75,7 +81,7 @@ TEST_P(IndexDurabilityTest, RoundTripThroughCrash) {
   MemEnv env;
   std::map<DocId, std::vector<Symbol>> model;
   {
-    ConcurrentIndex index(MakeDynamicIndex(GetParam()));
+    ShardedIndex index(1, GetParam());
     ASSERT_TRUE(index.OpenDurable(&env, "db").ok());
     EXPECT_TRUE(index.durable());
     for (int batch = 0; batch < 3; ++batch) {
@@ -92,13 +98,13 @@ TEST_P(IndexDurabilityTest, RoundTripThroughCrash) {
     // No CloseDurable: the facade just vanishes, as in a crash. Every batch
     // was synced (default group-commit window of 1), so nothing may be lost.
   }
-  ConcurrentIndex reopened(MakeDynamicIndex(GetParam()));
+  ShardedIndex reopened(1, GetParam());
   RecoveryStats stats;
   ASSERT_TRUE(reopened.OpenDurable(&env, "db", {}, &stats).ok());
   EXPECT_FALSE(stats.snapshot_loaded);
   EXPECT_EQ(stats.replayed_batches, 4u);  // 3 inserts + 1 erase
   EXPECT_EQ(stats.dropped_wal_bytes, 0u);
-  EXPECT_EQ(reopened.epoch(), 4u);
+  EXPECT_EQ(reopened.epochs()[0], 4u);
   ExpectServes(reopened, model);
   // The recovered facade keeps logging: a post-recovery batch must survive
   // the next reopen too.
@@ -108,7 +114,7 @@ TEST_P(IndexDurabilityTest, RoundTripThroughCrash) {
   ASSERT_TRUE(reopened.CloseDurable().ok());
   EXPECT_FALSE(reopened.durable());
 
-  ConcurrentIndex again(MakeDynamicIndex(GetParam()));
+  ShardedIndex again(1, GetParam());
   ASSERT_TRUE(again.OpenDurable(&env, "db", {}, &stats).ok());
   EXPECT_EQ(stats.replayed_batches, 5u);
   ExpectServes(again, model);
@@ -118,7 +124,7 @@ TEST_P(IndexDurabilityTest, CheckpointCutsTheReplayTail) {
   MemEnv env;
   std::map<DocId, std::vector<Symbol>> model;
   {
-    ConcurrentIndex index(MakeDynamicIndex(GetParam()));
+    ShardedIndex index(1, GetParam());
     ASSERT_TRUE(index.OpenDurable(&env, "db").ok());
     for (int batch = 0; batch < 4; ++batch) {
       std::vector<DocId> ids = index.InsertBatch({Doc(batch, 8)});
@@ -128,7 +134,7 @@ TEST_P(IndexDurabilityTest, CheckpointCutsTheReplayTail) {
       }
     }
   }
-  ConcurrentIndex reopened(MakeDynamicIndex(GetParam()));
+  ShardedIndex reopened(1, GetParam());
   RecoveryStats stats;
   ASSERT_TRUE(reopened.OpenDurable(&env, "db", {}, &stats).ok());
   EXPECT_TRUE(stats.snapshot_loaded);
@@ -147,7 +153,7 @@ TEST_P(IndexDurabilityTest, GroupCommitWindowLosesOnlyTheUnsyncedTail) {
   DurableOptions opt;
   opt.sync_every_batches = 3;
   {
-    ConcurrentIndex index(MakeDynamicIndex(GetParam()));
+    ShardedIndex index(1, GetParam());
     ASSERT_TRUE(index.OpenDurable(&env, "db", opt).ok());
     for (int batch = 0; batch < 5; ++batch) {
       index.InsertBatch({Doc(batch, 8)});
@@ -155,7 +161,7 @@ TEST_P(IndexDurabilityTest, GroupCommitWindowLosesOnlyTheUnsyncedTail) {
     // Batches 1-3 hit the window and synced; 4-5 sit in the page cache.
     env.SimulateCrash();
   }
-  ConcurrentIndex reopened(MakeDynamicIndex(GetParam()));
+  ShardedIndex reopened(1, GetParam());
   RecoveryStats stats;
   ASSERT_TRUE(reopened.OpenDurable(&env, "db", opt, &stats).ok());
   EXPECT_EQ(stats.replayed_batches, 3u);
@@ -167,13 +173,13 @@ TEST_P(IndexDurabilityTest, SyncWalNarrowsTheLossWindowToZero) {
   DurableOptions opt;
   opt.sync_every_batches = 100;  // effectively manual
   {
-    ConcurrentIndex index(MakeDynamicIndex(GetParam()));
+    ShardedIndex index(1, GetParam());
     ASSERT_TRUE(index.OpenDurable(&env, "db", opt).ok());
     index.InsertBatch({Doc(0, 8), Doc(1, 8)});
     ASSERT_TRUE(index.SyncWal().ok());
     env.SimulateCrash();
   }
-  ConcurrentIndex reopened(MakeDynamicIndex(GetParam()));
+  ShardedIndex reopened(1, GetParam());
   ASSERT_TRUE(reopened.OpenDurable(&env, "db", opt).ok());
   EXPECT_EQ(reopened.num_docs(), 2u);
 }
@@ -183,7 +189,7 @@ TEST_P(IndexDurabilityTest, FoldDropsDocumentsErasedWithinTheTail) {
   std::map<DocId, std::vector<Symbol>> model;
   std::vector<DocId> ids;
   {
-    ConcurrentIndex index(MakeDynamicIndex(GetParam()));
+    ShardedIndex index(1, GetParam());
     ASSERT_TRUE(index.OpenDurable(&env, "db").ok());
     std::vector<std::vector<Symbol>> docs = {Doc(1, 9), Doc(2, 7), Doc(3, 8)};
     ids = index.InsertBatch(docs);
@@ -197,15 +203,15 @@ TEST_P(IndexDurabilityTest, FoldDropsDocumentsErasedWithinTheTail) {
     model.erase(more[0]);
     model.erase(ids[2]);
   }
-  ConcurrentIndex reopened(MakeDynamicIndex(GetParam()));
+  ShardedIndex reopened(1, GetParam());
   RecoveryStats stats;
   ASSERT_TRUE(reopened.OpenDurable(&env, "db", {}, &stats).ok());
   EXPECT_EQ(stats.replayed_batches, 4u);
-  EXPECT_EQ(reopened.epoch(), 4u);
+  EXPECT_EQ(reopened.epochs()[0], 4u);
   ExpectServes(reopened, model);
   std::vector<Symbol> got;
   EXPECT_FALSE(reopened.Extract(ids[1], 0, 1, &got));
-  reopened.unsynchronized().CheckInvariants();
+  reopened.unsynchronized_shard(0).CheckInvariants();
 }
 
 TEST_P(IndexDurabilityTest, FoldErasesSnapshotDocumentsAndIgnoresUnknownIds) {
@@ -213,7 +219,7 @@ TEST_P(IndexDurabilityTest, FoldErasesSnapshotDocumentsAndIgnoresUnknownIds) {
   std::map<DocId, std::vector<Symbol>> model;
   std::vector<DocId> ids;
   {
-    ConcurrentIndex index(MakeDynamicIndex(GetParam()));
+    ShardedIndex index(1, GetParam());
     ASSERT_TRUE(index.OpenDurable(&env, "db").ok());
     std::vector<std::vector<Symbol>> docs = {Doc(5, 9), Doc(6, 7), Doc(7, 8)};
     ids = index.InsertBatch(docs);
@@ -227,12 +233,12 @@ TEST_P(IndexDurabilityTest, FoldErasesSnapshotDocumentsAndIgnoresUnknownIds) {
     std::vector<DocId> more = index.InsertBatch({Doc(8, 5)});
     model[more[0]] = Doc(8, 5);
   }
-  ConcurrentIndex reopened(MakeDynamicIndex(GetParam()));
+  ShardedIndex reopened(1, GetParam());
   RecoveryStats stats;
   ASSERT_TRUE(reopened.OpenDurable(&env, "db", {}, &stats).ok());
   EXPECT_TRUE(stats.snapshot_loaded);
   EXPECT_EQ(stats.replayed_batches, 3u);
-  EXPECT_EQ(reopened.epoch(), 3u);
+  EXPECT_EQ(reopened.epochs()[0], 3u);
   ExpectServes(reopened, model);
   std::vector<DocId> fresh = reopened.InsertBatch({Doc(9, 5)});
   ASSERT_EQ(fresh.size(), 1u);
@@ -244,10 +250,10 @@ TEST_P(IndexDurabilityTest, FoldMintsNoIdForARejectedDocument) {
   MemEnv env;
   // The twin sees the same batches and never crashes: it is what the
   // pre-crash facade would have done next.
-  ConcurrentIndex twin(MakeDynamicIndex(GetParam()));
+  ShardedIndex twin(1, GetParam());
   std::map<DocId, std::vector<Symbol>> model;
   {
-    ConcurrentIndex index(MakeDynamicIndex(GetParam()));
+    ShardedIndex index(1, GetParam());
     ASSERT_TRUE(index.OpenDurable(&env, "db").ok());
     // Rejected by every backend: an empty document, a symbol below
     // kMinSymbol, a reserved symbol. Symbol 300 exceeds only the baseline's
@@ -267,7 +273,7 @@ TEST_P(IndexDurabilityTest, FoldMintsNoIdForARejectedDocument) {
     EXPECT_EQ(twin.EraseBatch({ids[0]}), 1u);
     model.erase(ids[0]);
   }
-  ConcurrentIndex reopened(MakeDynamicIndex(GetParam()));
+  ShardedIndex reopened(1, GetParam());
   RecoveryStats stats;
   ASSERT_TRUE(reopened.OpenDurable(&env, "db", {}, &stats).ok());
   EXPECT_EQ(stats.replayed_batches, 2u);
@@ -281,19 +287,19 @@ TEST_P(IndexDurabilityTest, CorruptMidTailFrameIsLoudAndServesNothing) {
     SCOPED_TRACE(gap ? "sequence gap" : "undecodable payload");
     MemEnv env;
     {
-      ConcurrentIndex index(MakeDynamicIndex(GetParam()));
+      ShardedIndex index(1, GetParam());
       ASSERT_TRUE(index.OpenDurable(&env, "db").ok());
       index.InsertBatch({Doc(1, 8), Doc(2, 8)});
       index.InsertBatch({Doc(3, 8)});
     }
     AppendBadTail(env, /*last_seq=*/2, gap,
                   serve_persist::EncodeInsertBatch({Doc(4, 8)}));
-    ConcurrentIndex reopened(MakeDynamicIndex(GetParam()));
+    ShardedIndex reopened(1, GetParam());
     persist::Status s = reopened.OpenDurable(&env, "db");
     EXPECT_TRUE(s.IsCorruption()) << s.ToString();
     EXPECT_FALSE(reopened.durable());
     EXPECT_EQ(reopened.num_docs(), 0u);
-    EXPECT_EQ(reopened.epoch(), 0u);
+    EXPECT_EQ(reopened.epochs()[0], 0u);
   }
 }
 
@@ -307,12 +313,12 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, IndexDurabilityTest,
 TEST(IndexDurabilityRefusalTest, BackendMismatchIsLoud) {
   MemEnv env;
   {
-    ConcurrentIndex index(MakeDynamicIndex(Backend::kT1));
+    ShardedIndex index(1, Backend::kT1);
     ASSERT_TRUE(index.OpenDurable(&env, "db").ok());
     index.InsertBatch({Doc(0, 8)});
     ASSERT_TRUE(index.Checkpoint().ok());
   }
-  ConcurrentIndex other(MakeDynamicIndex(Backend::kBaseline));
+  ShardedIndex other(1, Backend::kBaseline);
   persist::Status s = other.OpenDurable(&env, "db");
   EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
   EXPECT_FALSE(other.durable());
@@ -321,13 +327,13 @@ TEST(IndexDurabilityRefusalTest, BackendMismatchIsLoud) {
 TEST(IndexDurabilityRefusalTest, CorruptSnapshotIsLoudNotEmpty) {
   MemEnv env;
   {
-    ConcurrentIndex index(MakeDynamicIndex(Backend::kT1));
+    ShardedIndex index(1, Backend::kT1);
     ASSERT_TRUE(index.OpenDurable(&env, "db").ok());
     index.InsertBatch({Doc(0, 64)});
     ASSERT_TRUE(index.Checkpoint().ok());
   }
-  ASSERT_TRUE(env.CorruptByte("db/SNAPSHOT", 40, 0x08).ok());
-  ConcurrentIndex reopened(MakeDynamicIndex(Backend::kT1));
+  ASSERT_TRUE(env.CorruptByte("db/shard-0/SNAPSHOT", 40, 0x08).ok());
+  ShardedIndex reopened(1, Backend::kT1);
   persist::Status s = reopened.OpenDurable(&env, "db");
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
   EXPECT_EQ(reopened.num_docs(), 0u);
@@ -337,13 +343,69 @@ TEST(IndexDurabilityRefusalTest, CorruptSnapshotIsLoudNotEmpty) {
 TEST(IndexDurabilityRefusalTest, RelationWalInAnIndexDirIsLoud) {
   MemEnv env;
   {
-    ConcurrentRelation relation(MakeRelationIndex(RelationBackend::kBaseline));
-    ASSERT_TRUE(relation.OpenDurable(&env, "db").ok());
+    ShardedRelation relation(1, RelationBackend::kBaseline);
+    ASSERT_TRUE(relation.OpenDurable(&env, "rel").ok());
     relation.AddPairsBatch({{1, 2}});
+    ShardedIndex index(1, Backend::kT1);
+    ASSERT_TRUE(index.OpenDurable(&env, "db").ok());
   }
-  ConcurrentIndex index(MakeDynamicIndex(Backend::kT1));
+  // The index directory's manifest checks out; its shard log is a
+  // relation's.
+  ASSERT_TRUE(env.RenameFile("rel/shard-0/WAL", "db/shard-0/WAL").ok());
+  ShardedIndex index(1, Backend::kT1);
   persist::Status s = index.OpenDurable(&env, "db");
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+}
+
+/// Writes a single-core durable directory — SNAPSHOT and / or WAL at the
+/// top of `dir`, no MANIFEST — with the persist API alone: a snapshot of
+/// `snapshot_payload` in `section` and a one-frame log of `wal_payload`.
+void WriteSingleCoreLayout(MemEnv& env, const std::string& dir,
+                           bool with_snapshot, bool with_wal,
+                           serve_persist::StateKind kind, const char* backend,
+                           const char* section,
+                           const std::string& snapshot_payload,
+                           const std::string& wal_payload) {
+  ASSERT_TRUE(env.CreateDir(dir).ok());
+  if (with_snapshot) {
+    serve_persist::SnapshotMeta meta;
+    meta.kind = kind;
+    meta.backend = backend;
+    meta.next_id = 1;
+    std::vector<persist::SnapshotSection> sections = {
+        {serve_persist::kMetaSection, serve_persist::EncodeMeta(meta)},
+        {section, snapshot_payload}};
+    ASSERT_TRUE(
+        persist::WriteSnapshotFile(&env, dir + "/SNAPSHOT", sections).ok());
+  }
+  if (with_wal) {
+    std::unique_ptr<persist::WalWriter> wal;
+    ASSERT_TRUE(persist::WalWriter::Create(&env, dir + "/WAL", &wal).ok());
+    ASSERT_TRUE(wal->Append(1, wal_payload).ok());
+    ASSERT_TRUE(wal->Sync().ok());
+  }
+}
+
+TEST(IndexDurabilityRefusalTest, SingleCoreLayoutIsRefusedNotServedEmpty) {
+  for (auto [with_snapshot, with_wal] : {std::pair{true, true},
+                                         std::pair{true, false},
+                                         std::pair{false, true}}) {
+    SCOPED_TRACE(std::string(with_snapshot ? "SNAPSHOT " : "") +
+                 (with_wal ? "WAL" : ""));
+    MemEnv env;
+    WriteSingleCoreLayout(
+        env, "db", with_snapshot, with_wal, serve_persist::StateKind::kIndex,
+        BackendName(Backend::kT1), serve_persist::kDocsSection,
+        serve_persist::EncodeDocs({Document{0, Doc(0, 8)}}),
+        serve_persist::EncodeInsertBatch({Doc(1, 8)}));
+    ShardedIndex index(1, Backend::kT1);
+    persist::Status s = index.OpenDurable(&env, "db");
+    EXPECT_FALSE(s.ok()) << "served as empty: num_docs " << index.num_docs();
+    EXPECT_NE(s.ToString().find("single-core layout"), std::string::npos)
+        << s.ToString();
+    EXPECT_FALSE(index.durable());
+    EXPECT_FALSE(env.FileExists("db/MANIFEST"));
+  }
 }
 
 class RelationDurabilityTest
@@ -353,7 +415,7 @@ TEST_P(RelationDurabilityTest, RoundTripThroughCrash) {
   MemEnv env;
   RelationPairs live;
   {
-    ConcurrentRelation relation(MakeRelationIndex(GetParam()));
+    ShardedRelation relation(1, GetParam());
     ASSERT_TRUE(relation.OpenDurable(&env, "db").ok());
     EXPECT_EQ(relation.AddPairsBatch({{1, 10}, {1, 11}, {2, 10}, {3, 12}}),
               4u);
@@ -361,7 +423,7 @@ TEST_P(RelationDurabilityTest, RoundTripThroughCrash) {
     EXPECT_EQ(relation.AddPairsBatch({{4, 13}}), 1u);
     live = {{1, 10}, {2, 10}, {3, 12}, {4, 13}};
   }
-  ConcurrentRelation reopened(MakeRelationIndex(GetParam()));
+  ShardedRelation reopened(1, GetParam());
   RecoveryStats stats;
   ASSERT_TRUE(reopened.OpenDurable(&env, "db", {}, &stats).ok());
   EXPECT_EQ(stats.replayed_batches, 3u);
@@ -377,14 +439,14 @@ TEST_P(RelationDurabilityTest, RoundTripThroughCrash) {
 TEST_P(RelationDurabilityTest, CheckpointCompactsRemovals) {
   MemEnv env;
   {
-    ConcurrentRelation relation(MakeRelationIndex(GetParam()));
+    ShardedRelation relation(1, GetParam());
     ASSERT_TRUE(relation.OpenDurable(&env, "db").ok());
     relation.AddPairsBatch({{1, 10}, {2, 20}, {3, 30}});
     relation.RemovePairsBatch({{2, 20}});
     ASSERT_TRUE(relation.Checkpoint().ok());
     relation.AddPairsBatch({{5, 50}});
   }
-  ConcurrentRelation reopened(MakeRelationIndex(GetParam()));
+  ShardedRelation reopened(1, GetParam());
   RecoveryStats stats;
   ASSERT_TRUE(reopened.OpenDurable(&env, "db", {}, &stats).ok());
   EXPECT_TRUE(stats.snapshot_loaded);
@@ -399,7 +461,7 @@ TEST_P(RelationDurabilityTest, CheckpointCompactsRemovals) {
 TEST_P(RelationDurabilityTest, FoldKeepsTheLastOperationOnEachPair) {
   MemEnv env;
   {
-    ConcurrentRelation relation(MakeRelationIndex(GetParam()));
+    ShardedRelation relation(1, GetParam());
     ASSERT_TRUE(relation.OpenDurable(&env, "db").ok());
     EXPECT_EQ(relation.AddPairsBatch({{1, 10}, {2, 20}}), 2u);
     // Add -> remove -> add of (1, 10); a remove of an absent pair beside it.
@@ -411,35 +473,35 @@ TEST_P(RelationDurabilityTest, FoldKeepsTheLastOperationOnEachPair) {
     // Add -> remove of (3, 30).
     EXPECT_EQ(relation.RemovePairsBatch({{3, 30}}), 1u);
   }
-  ConcurrentRelation reopened(MakeRelationIndex(GetParam()));
+  ShardedRelation reopened(1, GetParam());
   RecoveryStats stats;
   ASSERT_TRUE(reopened.OpenDurable(&env, "db", {}, &stats).ok());
   EXPECT_EQ(stats.replayed_batches, 6u);
-  EXPECT_EQ(reopened.epoch(), 6u);
+  EXPECT_EQ(reopened.epochs()[0], 6u);
   EXPECT_EQ(reopened.num_pairs(), 2u);
   EXPECT_TRUE(reopened.Related(1, 10));
   EXPECT_TRUE(reopened.Related(2, 20));
   EXPECT_FALSE(reopened.Related(3, 30));
   EXPECT_FALSE(reopened.Related(7, 7));
-  reopened.unsynchronized().CheckInvariants();
+  reopened.unsynchronized_shard(0).CheckInvariants();
 }
 
 TEST_P(RelationDurabilityTest, FoldRemovesAndReaddsSnapshotPairs) {
   MemEnv env;
   {
-    ConcurrentRelation relation(MakeRelationIndex(GetParam()));
+    ShardedRelation relation(1, GetParam());
     ASSERT_TRUE(relation.OpenDurable(&env, "db").ok());
     relation.AddPairsBatch({{1, 10}, {2, 20}, {3, 30}});
     ASSERT_TRUE(relation.Checkpoint().ok());
     EXPECT_EQ(relation.RemovePairsBatch({{1, 10}, {2, 20}, {8, 8}}), 2u);
     EXPECT_EQ(relation.AddPairsBatch({{2, 20}, {4, 40}}), 2u);
   }
-  ConcurrentRelation reopened(MakeRelationIndex(GetParam()));
+  ShardedRelation reopened(1, GetParam());
   RecoveryStats stats;
   ASSERT_TRUE(reopened.OpenDurable(&env, "db", {}, &stats).ok());
   EXPECT_TRUE(stats.snapshot_loaded);
   EXPECT_EQ(stats.replayed_batches, 2u);
-  EXPECT_EQ(reopened.epoch(), 2u);
+  EXPECT_EQ(reopened.epochs()[0], 2u);
   EXPECT_EQ(reopened.num_pairs(), 3u);
   EXPECT_FALSE(reopened.Related(1, 10));
   EXPECT_TRUE(reopened.Related(2, 20));
@@ -457,7 +519,7 @@ TEST_P(RelationDurabilityTest, FoldScreensUnrepresentablePairs) {
   std::vector<bool> before;
   uint64_t pairs_before = 0;
   {
-    ConcurrentRelation relation(MakeRelationIndex(GetParam()));
+    ShardedRelation relation(1, GetParam());
     ASSERT_TRUE(relation.OpenDurable(&env, "db").ok());
     relation.AddPairsBatch({{far, 3}, {3, far}, {4, 4}});
     relation.RemovePairsBatch({{far, 3}, {far, 9}});
@@ -465,7 +527,7 @@ TEST_P(RelationDurabilityTest, FoldScreensUnrepresentablePairs) {
     for (const auto& [o, a] : probes) before.push_back(relation.Related(o, a));
     pairs_before = relation.num_pairs();
   }
-  ConcurrentRelation reopened(MakeRelationIndex(GetParam()));
+  ShardedRelation reopened(1, GetParam());
   ASSERT_TRUE(reopened.OpenDurable(&env, "db").ok());
   EXPECT_EQ(reopened.num_pairs(), pairs_before);
   for (size_t i = 0; i < probes.size(); ++i) {
@@ -479,7 +541,7 @@ TEST_P(RelationDurabilityTest, CorruptMidTailFrameIsLoudAndServesNothing) {
     SCOPED_TRACE(gap ? "sequence gap" : "undecodable payload");
     MemEnv env;
     {
-      ConcurrentRelation relation(MakeRelationIndex(GetParam()));
+      ShardedRelation relation(1, GetParam());
       ASSERT_TRUE(relation.OpenDurable(&env, "db").ok());
       relation.AddPairsBatch({{1, 10}, {2, 20}});
       relation.RemovePairsBatch({{2, 20}});
@@ -487,12 +549,12 @@ TEST_P(RelationDurabilityTest, CorruptMidTailFrameIsLoudAndServesNothing) {
     AppendBadTail(env, /*last_seq=*/2, gap,
                   serve_persist::EncodePairsBatch(
                       serve_persist::WalOp::kAddPairs, {{5, 50}}));
-    ConcurrentRelation reopened(MakeRelationIndex(GetParam()));
+    ShardedRelation reopened(1, GetParam());
     persist::Status s = reopened.OpenDurable(&env, "db");
     EXPECT_TRUE(s.IsCorruption()) << s.ToString();
     EXPECT_FALSE(reopened.durable());
     EXPECT_EQ(reopened.num_pairs(), 0u);
-    EXPECT_EQ(reopened.epoch(), 0u);
+    EXPECT_EQ(reopened.epochs()[0], 0u);
   }
 }
 
@@ -658,6 +720,240 @@ TEST(ShardedRelationDurabilityTest, IndexManifestRefusedByRelation) {
   persist::Status s = relation.OpenDurable(&env, "db");
   EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
 }
+
+TEST(ShardedRelationDurabilityTest, SingleCoreLayoutIsRefusedNotServedEmpty) {
+  for (auto [with_snapshot, with_wal] : {std::pair{true, true},
+                                         std::pair{true, false},
+                                         std::pair{false, true}}) {
+    SCOPED_TRACE(std::string(with_snapshot ? "SNAPSHOT " : "") +
+                 (with_wal ? "WAL" : ""));
+    MemEnv env;
+    WriteSingleCoreLayout(
+        env, "db", with_snapshot, with_wal,
+        serve_persist::StateKind::kRelation,
+        RelationBackendName(RelationBackend::kTheorem2),
+        serve_persist::kPairsSection,
+        serve_persist::EncodePairs({{1, 10}, {2, 20}}),
+        serve_persist::EncodePairsBatch(serve_persist::WalOp::kAddPairs,
+                                        {{3, 30}}));
+    ShardedRelation relation(1, RelationBackend::kTheorem2);
+    persist::Status s = relation.OpenDurable(&env, "db");
+    EXPECT_FALSE(s.ok()) << "served as empty: num_pairs "
+                         << relation.num_pairs();
+    EXPECT_NE(s.ToString().find("single-core layout"), std::string::npos)
+        << s.ToString();
+    EXPECT_FALSE(relation.durable());
+    EXPECT_FALSE(env.FileExists("db/MANIFEST"));
+  }
+}
+
+/// A MemEnv whose WAL files park in Sync() while the gate is armed, so a
+/// test can hold a writer inside its fsync for as long as it likes and look
+/// at what readers see meanwhile. Every other file, and every sync while
+/// the gate is open, goes straight through.
+class GatedSyncEnv final : public persist::Env {
+ public:
+  void Arm() {
+    std::lock_guard<std::mutex> lock(mu_);
+    armed_ = true;
+  }
+  /// Blocks until `n` WAL syncs are parked at the gate.
+  void WaitParked(int n) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return parked_ >= n; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    armed_ = false;
+    cv_.notify_all();
+  }
+
+  persist::Status NewWritableFile(
+      const std::string& path,
+      std::unique_ptr<persist::WritableFile>* out) override {
+    DYNDEX_RETURN_IF_ERROR(mem_.NewWritableFile(path, out));
+    Gate(path, out);
+    return persist::Status::Ok();
+  }
+  persist::Status NewAppendableFile(
+      const std::string& path,
+      std::unique_ptr<persist::WritableFile>* out) override {
+    DYNDEX_RETURN_IF_ERROR(mem_.NewAppendableFile(path, out));
+    Gate(path, out);
+    return persist::Status::Ok();
+  }
+  persist::Status NewRandomAccessFile(
+      const std::string& path,
+      std::unique_ptr<persist::RandomAccessFile>* out) override {
+    return mem_.NewRandomAccessFile(path, out);
+  }
+  bool FileExists(const std::string& path) override {
+    return mem_.FileExists(path);
+  }
+  persist::Status GetFileSize(const std::string& path,
+                              uint64_t* size) override {
+    return mem_.GetFileSize(path, size);
+  }
+  persist::Status RenameFile(const std::string& from,
+                             const std::string& to) override {
+    return mem_.RenameFile(from, to);
+  }
+  persist::Status DeleteFile(const std::string& path) override {
+    return mem_.DeleteFile(path);
+  }
+  persist::Status CreateDir(const std::string& path) override {
+    return mem_.CreateDir(path);
+  }
+
+ private:
+  class GatedFile final : public persist::WritableFile {
+   public:
+    GatedFile(GatedSyncEnv* env, std::unique_ptr<persist::WritableFile> file)
+        : env_(env), file_(std::move(file)) {}
+    persist::Status Append(std::string_view data) override {
+      return file_->Append(data);
+    }
+    persist::Status Sync() override {
+      env_->Park();
+      return file_->Sync();
+    }
+    persist::Status Close() override { return file_->Close(); }
+
+   private:
+    GatedSyncEnv* env_;
+    std::unique_ptr<persist::WritableFile> file_;
+  };
+
+  void Gate(const std::string& path,
+            std::unique_ptr<persist::WritableFile>* out) {
+    const std::string wal = std::string("/") + serve_persist::kWalFileName;
+    if (path.size() >= wal.size() &&
+        path.compare(path.size() - wal.size(), wal.size(), wal) == 0) {
+      *out = std::make_unique<GatedFile>(this, std::move(*out));
+    }
+  }
+  void Park() {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (!armed_) return;
+    ++parked_;
+    cv_.notify_all();
+    cv_.wait(lock, [&] { return !armed_; });
+  }
+
+  MemEnv mem_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool armed_ = false;
+  int parked_ = 0;
+};
+
+/// True when no shard is inside an exclusive section (every seqlock word
+/// even).
+bool AllQuiescent(const ShardSeqs& seqs) {
+  for (uint64_t seq : seqs) {
+    if (seq % 2 != 0) return false;
+  }
+  return true;
+}
+
+class NoReaderWaitsOutAnFsyncTest : public ::testing::TestWithParam<uint32_t> {
+};
+
+// A durable batch is parked inside its WAL fsync on every shard it touched.
+// The exclusive sections must already have ended (all sequences even), and
+// a reader of the same shards must finish and see the batch's epoch; the
+// writer's call must still be waiting for its fsync. The gate makes this
+// deterministic: the writer cannot leave Sync() until the test releases it.
+TEST_P(NoReaderWaitsOutAnFsyncTest, Index) {
+  const uint32_t k = GetParam();
+  GatedSyncEnv env;
+  ShardedIndex index(k, Backend::kT1);
+  ASSERT_TRUE(index.OpenDurable(&env, "db").ok());
+  const std::vector<Symbol> pattern = Doc(7, 5);
+  std::vector<std::vector<Symbol>> batch(k, pattern);  // one doc per shard
+  ASSERT_EQ(index.InsertBatch(batch).size(), k);
+
+  env.Arm();
+  std::atomic<bool> returned{false};
+  std::thread writer([&] {
+    index.InsertBatch(batch);
+    returned.store(true);
+  });
+  env.WaitParked(static_cast<int>(k));
+  const bool quiescent = AllQuiescent(index.seqs());
+  EXPECT_TRUE(quiescent) << "the WAL fsync runs inside the exclusive section";
+  if (quiescent) {  // otherwise a reader would block until the release
+    ShardEpochs eps;
+    EXPECT_EQ(index.Count(pattern, &eps), 2u * k);
+    EXPECT_EQ(eps, ShardEpochs(k, 2));
+    for (uint32_t s = 0; s < k; ++s) {
+      uint64_t epoch = 0;
+      EXPECT_EQ(index.DocLenOf(k + s, &epoch), pattern.size());
+      EXPECT_EQ(epoch, 2u);
+    }
+    EXPECT_FALSE(returned.load()) << "returned before its fsync finished";
+  }
+  env.Release();
+  writer.join();
+  EXPECT_TRUE(returned.load());
+  ASSERT_TRUE(index.CloseDurable().ok());
+}
+
+TEST_P(NoReaderWaitsOutAnFsyncTest, Relation) {
+  const uint32_t k = GetParam();
+  GatedSyncEnv env;
+  ShardedRelation relation(k, RelationBackend::kTheorem2);
+  ASSERT_TRUE(relation.OpenDurable(&env, "db").ok());
+  // One object per shard.
+  std::vector<uint32_t> objects(k);
+  std::vector<bool> found(k, false);
+  for (uint32_t o = 0, seen = 0; seen < k; ++o) {
+    const uint32_t s = relation.shard_of_object(o);
+    if (found[s]) continue;
+    found[s] = true;
+    objects[s] = o;
+    ++seen;
+  }
+  RelationPairs first, second;
+  for (uint32_t o : objects) {
+    first.push_back({o, 1});
+    second.push_back({o, 2});
+  }
+  ASSERT_EQ(relation.AddPairsBatch(first), k);
+
+  env.Arm();
+  std::atomic<bool> returned{false};
+  std::thread writer([&] {
+    relation.AddPairsBatch(second);
+    returned.store(true);
+  });
+  env.WaitParked(static_cast<int>(k));
+  const bool quiescent = AllQuiescent(relation.seqs());
+  EXPECT_TRUE(quiescent) << "the WAL fsync runs inside the exclusive section";
+  if (quiescent) {  // otherwise a reader would block until the release
+    for (uint32_t s = 0; s < k; ++s) {
+      uint64_t epoch = 0;
+      EXPECT_TRUE(relation.Related(objects[s], 2, &epoch));
+      EXPECT_EQ(epoch, 2u);
+    }
+    ShardEpochs eps;
+    EXPECT_EQ(relation.num_pairs(&eps), 2u * k);
+    EXPECT_EQ(eps, ShardEpochs(k, 2));
+    EXPECT_FALSE(returned.load()) << "returned before its fsync finished";
+  }
+  env.Release();
+  writer.join();
+  EXPECT_TRUE(returned.load());
+  ASSERT_TRUE(relation.CloseDurable().ok());
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, NoReaderWaitsOutAnFsyncTest,
+                         ::testing::Values(1u, 2u),
+                         [](const auto& info) {
+                           std::string name = "K";
+                           name += std::to_string(info.param);
+                           return name;
+                         });
 
 }  // namespace
 }  // namespace dyndex

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "serve/concurrent_index.h"
 #include "serve/dynamic_index.h"
 #include "serve/sharded_index.h"
 #include "serve/thread_pool.h"
@@ -93,13 +92,15 @@ class ThrowingIndex final : public DynamicIndex {
 
 TEST(EpochGuardExceptionTest, ThrowingWriterUnwindsCleanly) {
   auto trigger = std::make_shared<std::atomic<bool>>(false);
-  ConcurrentIndex index(std::make_unique<ThrowingIndex>(
-      MakeDynamicIndex(Backend::kBaseline), trigger));
+  ShardedIndex index(1, [&] {
+    return std::make_unique<ThrowingIndex>(MakeDynamicIndex(Backend::kBaseline),
+                                           trigger);
+  });
 
   std::vector<DocId> ids = index.InsertBatch({Doc(1), Doc(2)});
   ASSERT_EQ(ids.size(), 2u);
-  const uint64_t epoch_before = index.epoch();
-  ASSERT_EQ(index.sequence() % 2, 0u);
+  const uint64_t epoch_before = index.epochs()[0];
+  ASSERT_EQ(index.seqs()[0] % 2, 0u);
 
   trigger->store(true);
   EXPECT_THROW(index.InsertBatch({Doc(3)}), std::runtime_error);
@@ -108,8 +109,8 @@ TEST(EpochGuardExceptionTest, ThrowingWriterUnwindsCleanly) {
 
   // The failed batches never happened: sequence back to even (readers not
   // wedged), epoch unmoved, the pre-throw documents still served.
-  EXPECT_EQ(index.sequence() % 2, 0u);
-  EXPECT_EQ(index.epoch(), epoch_before);
+  EXPECT_EQ(index.seqs()[0] % 2, 0u);
+  EXPECT_EQ(index.epochs()[0], epoch_before);
   EXPECT_EQ(index.num_docs(), 2u);
   std::vector<Symbol> out;
   EXPECT_TRUE(index.Extract(ids[0], 0, 4, &out));
@@ -117,7 +118,7 @@ TEST(EpochGuardExceptionTest, ThrowingWriterUnwindsCleanly) {
   // And the writer gate was released: the next writer proceeds normally.
   std::vector<DocId> more = index.InsertBatch({Doc(4)});
   ASSERT_EQ(more.size(), 1u);
-  EXPECT_EQ(index.epoch(), epoch_before + 1);
+  EXPECT_EQ(index.epochs()[0], epoch_before + 1);
   EXPECT_EQ(index.num_docs(), 3u);
 }
 

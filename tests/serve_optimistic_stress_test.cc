@@ -20,9 +20,9 @@
 #include <vector>
 
 #include "gen/text_gen.h"
-#include "serve/concurrent_index.h"
 #include "serve/dynamic_index.h"
 #include "serve/epoch_guard.h"
+#include "serve/sharded_index.h"
 #include "text/fm_index.h"
 #include "util/rng.h"
 #include "util/seq_hash_map.h"
@@ -238,9 +238,9 @@ TEST(ServeOptimisticStress, RetireWithNoReaderFreesAtSectionEnd) {
 
 // --- full stack under a tiny retry budget ------------------------------------
 
-/// Immortal-document extraction against ConcurrentIndex while a writer churns
-/// batches, with max_attempts=1 so validation failures exercise the fallback
-/// path through the whole T2 backend stack.
+/// Immortal-document extraction against a single-core ShardedIndex while a
+/// writer churns batches, with max_attempts=1 so validation failures exercise
+/// the fallback path through the whole T2 backend stack.
 TEST(ServeOptimisticStress, IndexChurnTinyBudget) {
   constexpr uint32_t kSigma = 4;
   constexpr uint32_t kNumImmortal = 4;
@@ -252,7 +252,7 @@ TEST(ServeOptimisticStress, IndexChurnTinyBudget) {
   DynamicIndexOptions opt;
   opt.min_c0 = 64;
   opt.mode = RebuildMode::kThreaded;
-  ConcurrentIndex index(MakeDynamicIndex(Backend::kT2, opt));
+  ShardedIndex index(1, Backend::kT2, opt);
   OptimisticPolicy policy;
   policy.max_attempts = 1;
   index.set_optimistic_policy(policy);
@@ -294,7 +294,7 @@ TEST(ServeOptimisticStress, IndexChurnTinyBudget) {
   const OptimisticStats stats = index.optimistic_stats();
   EXPECT_GT(stats.attempts, 0u);
   index.Flush();
-  index.unsynchronized().CheckInvariants();
+  index.unsynchronized_shard(0).CheckInvariants();
 }
 
 // --- SeqVector views under growth --------------------------------------------
@@ -381,7 +381,7 @@ TEST(ServeOptimisticStress, TopListGrowthUnderOptimisticCounts) {
     DynamicIndexOptions opt;
     opt.min_c0 = 64;
     opt.tau = 64;
-    ConcurrentIndex index(MakeDynamicIndex(Backend::kT2, opt));
+    ShardedIndex index(1, Backend::kT2, opt);
     OptimisticPolicy policy;
     policy.max_attempts = 3;
     index.set_optimistic_policy(policy);
@@ -395,9 +395,9 @@ TEST(ServeOptimisticStress, TopListGrowthUnderOptimisticCounts) {
     for (int r = 0; r < 2; ++r) {
       readers.emplace_back([&] {
         while (!done.load(std::memory_order_acquire)) {
-          uint64_t epoch = 0;
-          const uint64_t c = index.Count(pattern, &epoch);
-          if (c != kBaseSymbols + (epoch - 1) * kTopSymbols) {
+          ShardEpochs eps;
+          const uint64_t c = index.Count(pattern, &eps);
+          if (c != kBaseSymbols + (eps[0] - 1) * kTopSymbols) {
             mismatches.fetch_add(1, std::memory_order_relaxed);
           }
         }
@@ -411,10 +411,10 @@ TEST(ServeOptimisticStress, TopListGrowthUnderOptimisticCounts) {
     attempts += index.optimistic_stats().attempts;
     const auto& t2 =
         dynamic_cast<CollectionIndex<DynamicCollectionT2<FmIndex>>&>(
-            index.unsynchronized())
+            index.unsynchronized_shard(0))
             .collection();
     EXPECT_EQ(t2.num_tops(), 1u + kTopsPerRound);  // one top per insert
-    index.unsynchronized().CheckInvariants();
+    index.unsynchronized_shard(0).CheckInvariants();
   }
   EXPECT_EQ(mismatches.load(), 0u);
   EXPECT_GT(attempts, 0u);
@@ -436,7 +436,7 @@ TEST(ServeOptimisticStress, PacedWriterNeverStarvesValidatedReaders) {
   DynamicIndexOptions opt;
   opt.min_c0 = 64;
   opt.mode = RebuildMode::kThreaded;
-  ConcurrentIndex index(MakeDynamicIndex(Backend::kT2, opt));
+  ShardedIndex index(1, Backend::kT2, opt);
   std::vector<std::vector<Symbol>> docs;
   for (int i = 0; i < 8; ++i) {
     docs.push_back(UniformText(rng, rng.Range(16, 64), kSigma));
@@ -531,7 +531,7 @@ TEST(ServeOptimisticStress, PacedWriterNeverStarvesValidatedReaders) {
   EXPECT_GE(stats.validated, 64u);  // the floor: readers ran lock-free
   EXPECT_GT(index.pacing_stats().waits, 0u);  // the writer really was paced
   index.Flush();
-  index.unsynchronized().CheckInvariants();
+  index.unsynchronized_shard(0).CheckInvariants();
 }
 
 }  // namespace
